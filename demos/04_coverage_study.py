@@ -5,7 +5,7 @@
 from zitpo import coverage_study, reference_config, reference_grid
 
 cfg = reference_config(n=500, reps=40, xi=0.25, seed=3)
-report = coverage_study(cfg, workers=1)
+report = coverage_study(cfg)
 
 print(f"n={report.n}, replicates={report.reps}, "
       f"converged={report.n_converged}, level={report.level}")

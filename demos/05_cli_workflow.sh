@@ -31,7 +31,7 @@ head -3 "$work/qq.csv"
 
 # 5. a quick coverage study (the full battery is --preset reference-grid)
 zitpo coverage --preset reference --n 400 --reps 10 --xi 0.25 --seed 1 \
-  --workers 2 --out "$work/coverage.json"
+  --out "$work/coverage.json"
 
 echo "artifacts:"
 ls -l "$work"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -369,9 +370,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_coverage(args) -> int:
     if args.preset == "reference-grid":
-        reports = [
-            coverage_study(cfg, workers=args.workers) for cfg in reference_grid(args.seed)
-        ]
+        # The grid fixes n, xi, the threshold and the coefficients per cell.
+        for flag, value in (
+            ("--n", args.n),
+            ("--xi", args.xi),
+            ("--trunc", args.trunc),
+            ("--beta1", args.beta1),
+            ("--beta2", args.beta2),
+            ("--estimates-csv", args.estimates_csv),
+        ):
+            if value is not None:
+                raise ValueError(f"{flag} does not apply to --preset reference-grid")
+        cells = reference_grid(args.seed)
+        if args.reps is not None:
+            cells = [dataclasses.replace(cfg, reps=args.reps) for cfg in cells]
+        reports = [coverage_study(cfg) for cfg in cells]
         payload = {"cells": [r.to_dict() for r in reports]}
         text = json.dumps(payload, sort_keys=True, indent=2)
         if args.out:
@@ -404,9 +417,7 @@ def cmd_coverage(args) -> int:
         )
     else:
         raise ValueError(f"unknown preset {args.preset!r}")
-    report = coverage_study(
-        cfg, workers=args.workers, collect_estimates=args.estimates_csv is not None
-    )
+    report = coverage_study(cfg, collect_estimates=args.estimates_csv is not None)
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -476,7 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--seed", type=int, default=0)
     p_cov.add_argument("--beta1", help="JSON list overriding the pi coefficients")
     p_cov.add_argument("--beta2", help="JSON list overriding the mu coefficients")
-    p_cov.add_argument("--workers", type=int, default=1)
+    p_cov.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted and ignored: replicates run serially",
+    )
     p_cov.add_argument("--out", help="write the JSON report here")
     p_cov.add_argument("--estimates-csv", help="stream per-replicate estimates here")
     p_cov.set_defaults(func=cmd_coverage)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimation import FitResult
 from .gpd import GpdMean, gpd_cdf, gpd_quantile
-from .model import ModelSpec, ZitpoParams, predict, zero_prob
+from .model import ModelSpec, _zero_log_prob, predict
 
 __all__ = [
     "ResidualSet",
@@ -133,12 +133,7 @@ def zero_calibration(
         raise ValueError("calibration requires a converged fit")
     y = np.asarray(y, dtype=float)
     pi, mu = predict(spec, fit.coef)
-    p_zero = np.array(
-        [
-            zero_prob(ZitpoParams(pi=p, mu=m, xi=fit.coef.xi, y_trunc=y_trunc))
-            for p, m in zip(pi, mu)
-        ]
-    )
+    p_zero = np.exp(_zero_log_prob(pi, mu, fit.coef.xi, y_trunc))
     edges = np.quantile(pi, np.linspace(0.0, 1.0, bins + 1))
     idx = np.clip(np.searchsorted(edges[1:-1], pi, side="right"), 0, bins - 1)
     rows = []

@@ -1,10 +1,14 @@
 """Maximum-likelihood fitting and Wald / likelihood-ratio inference.
 
-The likelihood is maximized by a BFGS quasi-Newton iteration with a
-backtracking (sufficient-decrease) line search and central-difference
-numeric gradients. The shape parameter is optimized through the bijection
-``xi = 1 - exp(-theta)`` so the ``xi < 1`` constraint never binds; standard
-errors are mapped back to the natural scale by the delta method.
+The likelihood is maximized by Newton's method with step halving, on the
+analytic score and Hessian assembled from the per-row derivatives of
+:func:`zitpo.model._loglik_derivs`. The shape parameter is optimized through
+the bijection ``xi = 1 - exp(-t)`` so the ``xi < 1`` constraint never binds.
+Standard errors come from the observed information (the negative analytic
+Hessian) on the natural scale at the optimum.
+
+:func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
+oracles for checking the analytic derivatives; the fitter does not use them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, expit, gammaincc, ndtri
 
-from .model import CoefVector, ModelSpec, _loglik_terms, predict
+from .model import CoefVector, ModelSpec, _loglik_derivs, _loglik_terms
 
 __all__ = [
     "FitResult",
@@ -167,75 +171,112 @@ def _bump(x: np.ndarray, *moves: tuple[int, float]) -> np.ndarray:
     return out
 
 
-class _LineSearchFailure(Exception):
-    pass
+# Armijo constant of the step-halving search, and the number of halvings
+# (step 2**-40) after which a direction counts as failed.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+# Rows per block of the score/Hessian assembly.
+_ROW_BLOCK = 4096
 
 
-def _maximize_bfgs(f, x0, gtol: float, ftol: float, max_iter: int, keep_trace: bool):
-    """Maximize f by BFGS with an Armijo backtracking line search.
+def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Ascent direction (-H)^-1 g; where -H is not positive definite (far
+    from the optimum), its eigenvalues are replaced by their absolute values,
+    floored at 1e-8 of the largest, which keeps the step an ascent one."""
+    info = -hess
+    try:
+        np.linalg.cholesky(info)
+        return np.linalg.solve(info, grad)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(info)
+        floor = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
+        return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
 
-    Returns (x, fval, grad, converged, iterations, trace). Convergence means
-    gradient max-norm < gtol and relative objective change < ftol.
+
+def _maximize_newton(
+    f, derivs, x0, f0: float, gtol: float, ftol: float, max_iter: int, keep_trace: bool
+):
+    """Maximize f by Newton's method with step halving.
+
+    ``derivs(x)`` returns the analytic gradient and Hessian of f. A trial
+    step is accepted when f rises by the Armijo fraction of the predicted
+    rise, or, when f is flat to within ``ftol * max(1, |f|)`` (near the
+    optimum the change is below the rounding of a long sum), when it lowers
+    the gradient max-norm. Convergence means gradient max-norm < gtol.
+
+    Returns (x, fval, converged, iterations, trace).
     """
-
-    def neg(x):
-        return -f(x)
-
-    x = np.asarray(x0, dtype=float).copy()
-    fx = neg(x)
-    if not np.isfinite(fx):
-        raise ValueError("objective is not finite at the starting point")
-    g = numeric_gradient(neg, x)
-    H = np.eye(x.size)
+    x = np.asarray(x0, dtype=float)
+    fx = f0
+    g, H = derivs(x)
+    gnorm = _max_norm(g, H)
     trace: list[tuple[int, float, float]] = []
-    converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        p = -H @ g
+    while gtol <= gnorm < math.inf and it < max_iter:
+        p = _newton_direction(g, H)
         slope = float(g @ p)
-        if slope >= 0.0:
-            # Curvature information went stale; restart from steepest descent.
-            H = np.eye(x.size)
-            p = -g
-            slope = float(g @ p)
-            if slope >= 0.0:
-                break
-        try:
-            alpha, fnew = _backtrack(neg, x, p, fx, slope)
-        except _LineSearchFailure:
-            if not np.allclose(H, np.eye(x.size)):
-                H = np.eye(x.size)
-                continue
+        flat = ftol * max(1.0, abs(fx))
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            xt = x + alpha * p
+            ft = f(xt)
+            if np.isfinite(ft) and ft >= fx - flat:
+                gt, Ht = derivs(xt)
+                gtnorm = _max_norm(gt, Ht)
+                if gtnorm < math.inf and (
+                    ft >= fx + _ARMIJO * alpha * slope or gtnorm < gnorm
+                ):
+                    break
+            alpha *= 0.5
+        else:
             break
-        s = alpha * p
-        x = x + s
-        gnew = numeric_gradient(neg, x)
-        yk = gnew - g
-        sy = float(s @ yk)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(yk)):
-            rho = 1.0 / sy
-            I = np.eye(x.size)
-            V = I - rho * np.outer(s, yk)
-            H = V @ H @ V.T + rho * np.outer(s, s)
-        gnorm = float(np.max(np.abs(gnew)))
-        fchange = abs(fnew - fx) / max(1.0, abs(fnew))
+        it += 1
+        x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
         if keep_trace:
-            trace.append((it, -fnew, gnorm))
-        fx, g = fnew, gnew
-        if gnorm < gtol and fchange < ftol:
-            converged = True
-            break
-    return x, -fx, -g, converged, it, tuple(trace)
+            trace.append((it, fx, gnorm))
+    return x, fx, gnorm < gtol, it, tuple(trace)
 
 
-def _backtrack(neg, x, p, fx, slope, c1: float = 1e-4, shrink: float = 0.5):
-    alpha = 1.0
-    while alpha > 1e-20:
-        fnew = neg(x + alpha * p)
-        if np.isfinite(fnew) and fnew <= fx + c1 * alpha * slope:
-            return alpha, fnew
-        alpha *= shrink
-    raise _LineSearchFailure
+def _max_norm(grad: np.ndarray, hess: np.ndarray) -> float:
+    """Gradient max-norm, or inf when any derivative is not finite."""
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return math.inf
+    return float(np.max(np.abs(grad)))
+
+
+def _score_hessian(y, y_trunc: float, spec: ModelSpec, b1, b2, xi: float, free_xi: bool):
+    """Analytic score and Hessian of the log-likelihood in (beta1, beta2, xi),
+    the xi row and column only when ``free_xi``.
+
+    The per-row derivatives with respect to (eta1, eta2, xi) are summed into
+    ``X1'g1``, ``X2'g2`` and blocks ``X'(w*X)``; no per-row matrix is formed.
+    Rows go through in blocks of ``_ROW_BLOCK``, so the kernel's temporaries
+    take the same memory at any n.
+    """
+    x1, x2 = spec.x1, spec.x2
+    p1, p2 = x1.shape[1], x2.shape[1]
+    s1, s2 = slice(0, p1), slice(p1, p1 + p2)
+    k = p1 + p2 + int(free_xi)
+    score = np.zeros(k)
+    hess = np.zeros((k, k))
+    for lo in range(0, y.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        a1, a2 = x1[rows], x2[rows]
+        g, h = _loglik_derivs(y[rows], a1 @ b1, a2 @ b2, xi, y_trunc)
+        score[s1] += a1.T @ g[0]
+        score[s2] += a2.T @ g[1]
+        hess[s1, s1] += a1.T @ (h[0][:, None] * a1)
+        hess[s1, s2] += a1.T @ (h[1][:, None] * a2)
+        hess[s2, s2] += a2.T @ (h[3][:, None] * a2)
+        if free_xi:
+            score[-1] += np.sum(g[2])
+            hess[s1, -1] += a1.T @ h[2]
+            hess[s2, -1] += a2.T @ h[4]
+            hess[-1, -1] += np.sum(h[5])
+    hess[s2, s1] = hess[s1, s2].T
+    if free_xi:
+        hess[-1, :-1] = hess[:-1, -1]
+    return score, hess
 
 
 def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVector:
@@ -278,10 +319,14 @@ def fit_mle(
     fix_xi : float, optional
         Freeze the shape at this value instead of estimating it.
     gtol, ftol, max_iter :
-        Convergence controls: gradient max-norm and relative likelihood
-        change, and the iteration cap.
+        Convergence controls: the fit converges once the analytic gradient
+        max-norm (in the optimizer's coordinates) is below ``gtol``. A step
+        that changes the log-likelihood by less than ``ftol`` relative counts
+        as flat and is accepted if it lowers that max-norm. ``max_iter``
+        caps the Newton iterations.
     keep_trace : bool
-        Record (iteration, loglik, gradient-norm) triples.
+        Record (iteration, loglik, gradient-norm) triples, one per Newton
+        iteration.
     retry_seed : int
         Seed for the single perturbed restart used when the first pass does
         not converge.
@@ -343,39 +388,47 @@ def fit_mle(
             return -np.inf
         return math.fsum(terms)
 
+    def derivs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Chain rule for xi = 1 - exp(-t): dxi/dt = 1 - xi, d2xi/dt2 = -(1 - xi)
+        b1, b2, xi = unpack(theta)
+        score, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        if fix_xi is None:
+            d = 1.0 - xi
+            hess[-1, -1] = hess[-1, -1] * d * d - score[-1] * d
+            hess[-1, :-1] *= d
+            hess[:-1, -1] *= d
+            score[-1] *= d
+        return score, hess
+
     theta0 = np.concatenate([init.beta1, init.beta2])
     if fix_xi is None:
         xi0 = min(init.xi, 1.0 - 1e-12)
         theta0 = np.append(theta0, -math.log1p(-xi0))
-    if not np.isfinite(objective(theta0)):
+    f0 = objective(theta0)
+    if not np.isfinite(f0):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
 
-    attempts = [theta0]
     rng = np.random.default_rng(retry_seed)
-    attempts.append(theta0 + rng.normal(0.0, 0.1, size=theta0.size))
+    retry = theta0 + rng.normal(0.0, 0.1, size=theta0.size)
 
     best = None
     iterations_total = 0
     trace: tuple[tuple[int, float, float], ...] = ()
-    for start in attempts:
-        try:
-            xhat, fval, grad, ok, its, tr = _maximize_bfgs(
-                objective, start, gtol, ftol, max_iter, keep_trace
-            )
-        except ValueError:
-            # Start or a gradient probe left the feasible region.
+    for start in (theta0, retry):
+        fstart = f0 if start is theta0 else objective(start)
+        if not np.isfinite(fstart):
             continue
+        xhat, fval, ok, its, tr = _maximize_newton(
+            objective, derivs, start, fstart, gtol, ftol, max_iter, keep_trace
+        )
         iterations_total += its
-        if best is None or fval > best[1] or (ok and not best[3]):
-            best = (xhat, fval, grad, ok)
+        if best is None or fval > best[1] or (ok and not best[2]):
+            best = (xhat, fval, ok)
             trace = tr
         if ok:
             break
 
-    if best is None:
-        # Both starts failed before the first step; report the initial point.
-        best = (theta0, objective(theta0), np.full(theta0.size, np.nan), False)
-    xhat, fval, _, converged = best
+    xhat, fval, converged = best
     b1, b2, xi = unpack(xhat)
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
 
@@ -383,16 +436,11 @@ def fit_mle(
     cov = np.full((k, k), np.nan)
     se = np.full(k, np.nan)
     if converged:
-        cov_theta, ok = _covariance(objective, xhat)
+        _, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        cov_free, ok = _covariance(-hess)
         if ok:
-            if fix_xi is None:
-                # Delta method for xi = 1 - exp(-theta): d(xi)/d(theta) = 1 - xi
-                jac = np.ones(xhat.size)
-                jac[-1] = 1.0 - xi
-                cov = cov_theta * np.outer(jac, jac)
-            else:
-                cov = np.zeros((k, k))
-                cov[: k - 1, : k - 1] = cov_theta
+            cov = np.zeros((k, k))
+            cov[: cov_free.shape[0], : cov_free.shape[0]] = cov_free
             se = np.sqrt(np.diag(cov))
         else:
             converged = False
@@ -414,13 +462,9 @@ def fit_mle(
     )
 
 
-def _covariance(objective, xhat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Inverse negative Hessian at the optimum; flags indefinite information."""
-    try:
-        H = numeric_hessian(objective, xhat)
-    except ValueError:
-        return np.empty(0), False
-    info = -H
+def _covariance(info: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Inverse of the observed information; flags one that is not positive
+    definite."""
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:

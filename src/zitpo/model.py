@@ -301,6 +301,95 @@ def _loglik_terms(y: np.ndarray, pi, mu, xi: float, y_trunc: float) -> np.ndarra
     return terms
 
 
+# Below |x| = |xi * y / sigma| of this size the closed forms of phi' and phi''
+# cancel (relative error ~eps/x^2); the ten-term series there is exact to
+# rounding, and at x = 0 it is the exponential branch's limit.
+_SERIES_X = 1e-2
+_SERIES_TERMS = 10
+_J = np.arange(_SERIES_TERMS)
+_SIGN = (-1.0) ** _J
+_PHI_COEF = _SIGN / (_J + 1.0)
+_DPHI_COEF = -_SIGN * (_J + 1.0) / (_J + 2.0)
+_D2PHI_COEF = _SIGN * (_J + 2.0) * (_J + 1.0) / (_J + 3.0)
+
+
+def _phi_derivs(x):
+    """phi(x) = log1p(x)/x and its first two derivatives, continuous at 0."""
+    polyval = np.polynomial.polynomial.polyval
+    small = np.abs(x) < _SERIES_X
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log1p(x)
+        num = x / (1.0 + x) - lg
+        phi = np.where(small, polyval(x, _PHI_COEF), lg / x)
+        d1 = np.where(small, polyval(x, _DPHI_COEF), num / x**2)
+        d2 = np.where(
+            small,
+            polyval(x, _D2PHI_COEF),
+            -1.0 / (x * (1.0 + x) ** 2) - 2.0 * num / x**3,
+        )
+    return phi, d1, d2
+
+
+def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
+    """Per-row first and second derivatives of :func:`_loglik_terms` with
+    respect to (eta1 = logit pi, eta2 = log mu, xi).
+
+    Returns ``(g, h)``: ``g`` of shape (3, n) holds the first derivatives in
+    that order, ``h`` of shape (6, n) the unique second derivatives in the
+    order (11, 12, 1xi, 22, 2xi, xixi). Positive rows depend on eta1 only
+    through log pi, so their eta1 cross terms are zero; zero rows couple all
+    three. A zero row whose threshold lies beyond a ``xi < 0`` support end
+    has no mass above it: its term is log(1) = 0 and all its derivatives are
+    zero.
+
+    Both row kinds go through M = log(1 + xi*w)/xi with w = y/sigma,
+    sigma = mu*(1 - xi) (w0 = y_trunc/sigma on zero rows): the positive term
+    is log pi - log sigma - (1 + xi)*M and the zero term log(1 - pi*exp(-M)).
+    Writing M = w*phi(xi*w) keeps every term finite as xi -> 0, where it
+    meets the exponential branch (M = y/mu at xi = 0).
+    """
+    eta1 = np.asarray(eta1, dtype=float)
+    eta2 = np.asarray(eta2, dtype=float)
+    zero = y == 0.0
+    pi = expit(eta1)
+    qi = expit(-eta1)  # 1 - pi without cancellation
+    c = 1.0 / (1.0 - xi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.where(zero, y_trunc, y) * np.exp(-eta2) * c
+        x = xi * w
+        b = 1.0 / (1.0 + x)
+        phi, d1, d2 = _phi_derivs(x)
+        m = w * phi
+        m2 = -w * b
+        mx = w * w * d1 + c * w * b
+        m22 = w * b * b
+        m2x = c * w * b * (w * b - 1.0)
+        mxx = w**3 * d2 - 2.0 * c * (w * b) ** 2 - xi * (c * w * b) ** 2 + 2.0 * c * c * w * b
+
+        # zero rows: l = log(1 - q), q = pi*S, S = exp(-M); r = q / (1 - q)
+        beyond = zero & (x <= -1.0)
+        surv = np.where(beyond, 0.0, np.exp(-m))
+        r = pi * surv / (qi - pi * np.expm1(-m))
+        r = np.where(beyond, 0.0, r)
+        rr = r * (1.0 + r)
+        for arr in (m2, mx, m22, m2x, mxx):
+            arr[beyond] = 0.0
+
+        one_xi = 1.0 + xi
+        g = np.empty((3, y.size))
+        h = np.empty((6, y.size))
+        g[0] = np.where(zero, -r * qi, qi)
+        g[1] = np.where(zero, r * m2, -1.0 - one_xi * m2)
+        g[2] = np.where(zero, r * mx, c - m - one_xi * mx)
+        h[0] = np.where(zero, -r * qi * ((1.0 + r) * qi - pi), -pi * qi)
+        h[1] = np.where(zero, rr * qi * m2, 0.0)
+        h[2] = np.where(zero, rr * qi * mx, 0.0)
+        h[3] = np.where(zero, r * m22 - rr * m2 * m2, -one_xi * m22)
+        h[4] = np.where(zero, r * m2x - rr * m2 * mx, -m2 - one_xi * m2x)
+        h[5] = np.where(zero, r * mxx - rr * mx * mx, c * c - 2.0 * mx - one_xi * mxx)
+    return g, h
+
+
 def log_likelihood(
     y, y_trunc: float, spec: ModelSpec, coef: CoefVector
 ) -> float:

@@ -5,15 +5,13 @@ formula ``y = [(u**(-xi) - 1) * (1-xi)/xi] * (mu + xi*y_trunc/(1-xi)) + y_trunc`
 with ``u`` a survival-side uniform (``u = 1`` maps to the threshold).
 
 Every replicate owns a counter-based RNG stream derived from
-``seed XOR mix(rep_index)``, so results do not depend on execution order or
-on the number of worker threads.
+``seed XOR mix(rep_index)``, so results do not depend on execution order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,20 +281,13 @@ def coverage_study(
 ) -> CoverageReport:
     """Simulate, fit and score CI coverage over ``cfg.reps`` replicates.
 
-    Replicates run independently (optionally on ``workers`` threads) into
-    pre-allocated slots, so the report is identical for any worker count.
+    Replicates run one after another, each from its own RNG stream.
+    ``workers`` is accepted for compatibility and ignored: a thread pool
+    ran the small numpy calls of many short fits slower than one thread.
     Replicates whose fit does not converge are excluded from the aggregates
     and counted; more than 20% of them aborts the study.
     """
-    slots: list = [None] * cfg.reps
-    if workers <= 1:
-        for r in range(cfg.reps):
-            slots[r] = _run_replicate(cfg, r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(_run_replicate, cfg, r) for r in range(cfg.reps)}
-            for r, fut in futures.items():
-                slots[r] = fut.result()
+    slots = [_run_replicate(cfg, r) for r in range(cfg.reps)]
 
     flags = tuple(bool(s[0]) for s in slots)
     n_converged = sum(flags)

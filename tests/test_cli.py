@@ -1,6 +1,7 @@
 """End-to-end command-line tests on small synthetic files."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -293,6 +294,48 @@ class TestCoverage:
         assert code == 0
         cells = json.loads(out.read_text())["cells"]
         assert [c["xi"] for c in cells] == [0.25, 0.5]
+
+    def test_grid_preset_applies_reps_to_every_cell(self, tmp_path, monkeypatch):
+        import zitpo.cli as cli_mod
+        from zitpo.simulation import coverage_study, reference_config
+
+        seen = []
+
+        def small_study(cfg, **kwargs):
+            seen.append(cfg)
+            return coverage_study(dataclasses.replace(cfg, n=300), **kwargs)
+
+        monkeypatch.setattr(cli_mod, "coverage_study", small_study)
+        out = tmp_path / "grid.json"
+        code = main(["coverage", "--preset", "reference-grid", "--reps", "1",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(seen) == 6 and all(cfg.reps == 1 for cfg in seen)
+        cells = json.loads(out.read_text())["cells"]
+        assert [c["reps"] for c in cells] == [1] * 6
+        assert [(c.n, c.xi) for c in seen] == [
+            (cfg.n, cfg.xi) for cfg in (
+                reference_config(n=n, xi=xi) for n in (500, 1000, 2000) for xi in (0.25, 0.5)
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--n", "50"), ("--estimates-csv", "est.csv")]
+    )
+    def test_grid_preset_rejects_per_cell_flags(self, tmp_path, monkeypatch, capsys, flag, value):
+        import zitpo.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no study should run")
+
+        monkeypatch.setattr(cli_mod, "coverage_study", never)
+        code = main(["coverage", "--preset", "reference-grid", "--reps", "1",
+                     flag, str(tmp_path / value) if flag == "--estimates-csv" else value,
+                     "--out", str(tmp_path / "grid.json")])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "grid.json").exists()
+        assert not (tmp_path / "est.csv").exists()
 
     def test_small_run_writes_report(self, tmp_path):
         out = tmp_path / "cov.json"

@@ -13,9 +13,9 @@ from zitpo.diagnostics import (
     residuals_from_params,
     zero_calibration,
 )
-from zitpo.estimation import fit_mle
-from zitpo.gpd import GpdMean, gpd_cdf, gpd_quantile
-from zitpo.model import CoefVector, predict
+from zitpo.estimation import FitResult, fit_mle
+from zitpo.gpd import XI_TOL, GpdMean, gpd_cdf, gpd_quantile
+from zitpo.model import CoefVector, ModelSpec, ZitpoParams, predict, zero_prob
 from zitpo.simulation import reference_config, rtrunc_gpd, simulate_dataset
 
 
@@ -209,3 +209,38 @@ class TestZeroCalibration:
         assert sum(r["count"] for r in table) == cfg.n
         err = [abs(r["predicted_zero"] - r["observed_zero"]) for r in table]
         assert max(err) < 0.08
+
+    @pytest.mark.parametrize(
+        "xi,y_trunc",
+        [(-0.4, 0.5), (0.25, 0.0), (0.3 * XI_TOL, 0.125)],
+        ids=["negative-shape", "no-threshold", "exponential-branch"],
+    )
+    def test_predicted_zero_matches_per_row_zero_prob(self, xi, y_trunc):
+        rng = np.random.default_rng(81)
+        n = 300
+        x = np.column_stack([np.ones(n), rng.normal(size=n)])
+        spec = ModelSpec(x1=x, x2=x)
+        coef = CoefVector(beta1=[0.2, 1.0], beta2=[-0.5, 0.8], xi=xi)
+        fit = FitResult(
+            coef=coef, se=np.ones(5), cov=np.eye(5), loglik=0.0, n_zero=n // 2,
+            n_pos=n - n // 2, converged=True, iterations=1, names1=("a", "b"),
+            names2=("a", "b"), y_trunc=y_trunc,
+        )
+        y = np.where(rng.random(n) < 0.5, 0.0, y_trunc + 1.0)
+        pi, mu = predict(spec, coef)
+        per_row = np.array(
+            [zero_prob(ZitpoParams(pi=p, mu=m, xi=xi, y_trunc=y_trunc)) for p, m in zip(pi, mu)]
+        )
+        if xi < 0.0:
+            # some thresholds lie past the support end: every positive is
+            # recorded as a zero there
+            assert np.any(per_row == 1.0)
+        table = zero_calibration(y, y_trunc, fit, spec)
+        # bins are contiguous runs of rows sorted by predicted pi
+        order = np.argsort(pi, kind="stable")
+        lo = 0
+        for row in table:
+            sel = order[lo : lo + row["count"]]
+            lo += row["count"]
+            assert row["predicted_zero"] == pytest.approx(np.mean(per_row[sel]), abs=1e-12)
+        assert lo == n

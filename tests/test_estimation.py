@@ -9,8 +9,11 @@ import pytest
 from scipy import stats as sps
 from scipy.special import expit
 
+import zitpo.estimation as estimation
 from zitpo.estimation import (
     FitResult,
+    _newton_direction,
+    _score_hessian,
     chi2_sf,
     confidence_interval,
     fit_mle,
@@ -21,7 +24,7 @@ from zitpo.estimation import (
 )
 from zitpo.estimation import TestResult as InferenceResult
 from zitpo.model import CoefVector, ModelSpec, log_likelihood
-from zitpo.simulation import reference_config, simulate_dataset
+from zitpo.simulation import SimConfig, reference_config, rtrunc_gpd, simulate_dataset
 
 
 def make_fit(est1, est2, xi, se, loglik=-10.0, names1=None, names2=None, n=(50, 50)):
@@ -115,6 +118,131 @@ class TestNumericHessian:
         )
         eig = np.linalg.eigvalsh(numeric_hessian(ll, theta_hat))
         assert np.all(eig < 0.0)
+
+
+def random_problem(xi, y_trunc, seed, n=300):
+    """Random coefficients and data drawn from the model at them; positive
+    values stay clear of a xi < 0 support end so numeric probes are finite."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=n), rng.random(n) < 0.5])
+    spec = ModelSpec(x1=x, x2=x[:, :2])
+    b1 = np.array([rng.normal(-0.3, 0.3), rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)])
+    b2 = np.array([rng.normal(0.5, 0.3), rng.normal(0.0, 0.4)])
+    coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
+    pi = expit(x @ b1)
+    mu = np.exp(spec.x2 @ b2)
+    y_star = rtrunc_gpd(1.0 - 0.99 * rng.random(n), mu, xi, 0.0)
+    y = np.where((rng.random(n) < pi) & (y_star > y_trunc), y_star, 0.0)
+    return y, spec, coef
+
+
+def natural_loglik(y, y_trunc, spec, fixed_xi=None):
+    p1, p2 = spec.x1.shape[1], spec.x2.shape[1]
+
+    def f(v):
+        xi = fixed_xi if fixed_xi is not None else v[p1 + p2]
+        coef = CoefVector(beta1=v[:p1], beta2=v[p1 : p1 + p2], xi=xi)
+        return log_likelihood(y, y_trunc, spec, coef)
+
+    return f
+
+
+XI_GRID = [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7]
+
+
+class TestAnalyticDerivatives:
+    @pytest.mark.parametrize("xi", XI_GRID)
+    @pytest.mark.parametrize("y_trunc", [0.0, 0.125])
+    def test_score_and_information_match_numeric_oracles(self, xi, y_trunc):
+        for seed in range(3):
+            y, spec, coef = random_problem(xi, y_trunc, seed)
+            v = np.concatenate([coef.beta1, coef.beta2, [xi]])
+            f = natural_loglik(y, y_trunc, spec)
+            score, hess = _score_hessian(
+                y, y_trunc, spec, coef.beta1, coef.beta2, xi, True
+            )
+            g_num = numeric_gradient(f, v)
+            assert np.max(np.abs(score - g_num)) <= 1e-6 * np.max(np.abs(score))
+            h_num = numeric_hessian(f, v)
+            assert np.max(np.abs(hess - h_num)) <= 1e-4 * np.max(np.abs(hess))
+
+    @pytest.mark.parametrize("xi", [0.0, 0.25])
+    def test_fixed_shape_mode(self, xi):
+        y, spec, coef = random_problem(xi, 0.125, 5)
+        v = np.concatenate([coef.beta1, coef.beta2])
+        f = natural_loglik(y, 0.125, spec, fixed_xi=xi)
+        score, hess = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, False)
+        assert score.shape == (5,) and hess.shape == (5, 5)
+        assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
+        h_num = numeric_hessian(f, v)
+        assert np.max(np.abs(hess - h_num)) <= 1e-4 * np.max(np.abs(hess))
+
+    def test_standard_errors_match_numeric_hessian(self):
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=41)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        assert fit.converged
+        h_num = numeric_hessian(natural_loglik(y, cfg.y_trunc, spec), fit.estimates)
+        se_num = np.sqrt(np.diag(np.linalg.inv(-h_num)))
+        assert np.allclose(fit.se, se_num, rtol=1e-4)
+
+    def test_score_vanishes_at_the_fit(self):
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=42)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        score, _ = _score_hessian(
+            y, cfg.y_trunc, spec, fit.coef.beta1, fit.coef.beta2, fit.coef.xi, True
+        )
+        # natural-scale score; the stopping rule is on (1 - xi) times its last entry
+        score[-1] *= 1.0 - fit.coef.xi
+        assert np.max(np.abs(score)) < 1e-6
+
+
+class TestNewton:
+    def test_work_count_gate(self, monkeypatch):
+        # machine-independent: likelihood evaluations and iterations per fit
+        calls = []
+        real = estimation._loglik_terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_loglik_terms", counted)
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=21)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        assert fit.converged
+        assert fit.iterations <= 15
+        assert len(calls) <= 40
+
+    def test_indefinite_information_still_gives_an_ascent_step(self):
+        hess = np.diag([-4.0, 1.0, -1e-12])
+        g = np.array([1.0, -2.0, 0.5])
+        p = _newton_direction(g, hess)
+        assert np.all(np.isfinite(p)) and g @ p > 0.0
+
+    def test_far_start_reaches_the_same_optimum(self):
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=3)
+        y, spec = simulate_dataset(cfg, 0)
+        near = fit_mle(y, cfg.y_trunc, spec)
+        far_init = CoefVector(beta1=np.full(6, 0.5), beta2=np.full(6, -0.3), xi=0.7)
+        far = fit_mle(y, cfg.y_trunc, spec, init=far_init)
+        assert near.converged and far.converged
+        assert np.allclose(far.estimates, near.estimates, atol=1e-6)
+        assert far.loglik == pytest.approx(near.loglik, abs=1e-8)
+
+    def test_frozen_exponential_shape_on_a_design(self):
+        # fix_xi = 0 runs through the series limit of the derivative kernel
+        cfg = SimConfig(
+            n=800, reps=1, beta1=(0.2, 0.5), beta2=(1.0, -0.4), xi=0.0,
+            y_trunc=0.125, covariate_recipe=(("normal", 0.0, 1.0),), seed=9,
+        )
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=0.0)
+        assert fit.converged and fit.se[-1] == 0.0
+        f = natural_loglik(y, cfg.y_trunc, spec, fixed_xi=0.0)
+        assert np.max(np.abs(numeric_gradient(f, fit.estimates[:-1]))) < 1e-5
 
 
 class TestFitMle:

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expit
 
+from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
 from zitpo.model import (
+    _loglik_derivs,
+    _loglik_terms,
     CoefVector,
     ModelSpec,
     ZitpoParams,
@@ -272,6 +276,74 @@ class TestLogLikelihood:
         a = log_likelihood(y, 0.1, spec, CoefVector(beta1=[0.1], beta2=[0.7], xi=0.0))
         b = log_likelihood(y, 0.1, spec, CoefVector(beta1=[0.1], beta2=[0.7], xi=1e-9))
         assert a == pytest.approx(b, abs=1e-6)
+
+
+def row_term(y, y_trunc):
+    """One row's log-likelihood term as a function of (eta1, eta2, xi)."""
+
+    def f(v):
+        yy = np.array([y])
+        return float(_loglik_terms(yy, expit(v[0]), math.exp(v[1]), v[2], y_trunc)[0])
+
+    return f
+
+
+# (11, 12, 1xi, 22, 2xi, xixi) positions of the per-row second derivatives
+UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+class TestLoglikDerivs:
+    @pytest.mark.parametrize("xi", [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7])
+    @pytest.mark.parametrize("y_trunc", [0.0, 0.125])
+    def test_rows_match_numeric_derivatives(self, xi, y_trunc):
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            eta = np.array([rng.normal(0.0, 1.5), rng.normal(0.3, 1.0), xi])
+            mu = math.exp(eta[1])
+            # zero rows and positive rows, kept inside a xi < 0 support
+            y = 0.0 if rng.random() < 0.4 else y_trunc + rng.uniform(0.05, 2.0) * mu
+            g, h = _loglik_derivs(np.array([y]), eta[:1], eta[1:2], xi, y_trunc)
+            f = row_term(y, y_trunc)
+            g_num = numeric_gradient(f, eta)
+            h_num = numeric_hessian(f, eta)
+            scale = max(1.0, float(np.max(np.abs(g))))
+            assert np.max(np.abs(g[:, 0] - g_num)) <= 1e-6 * scale
+            h_full = np.array([h_num[i, j] for i, j in UPPER])
+            scale = max(1.0, float(np.max(np.abs(h))))
+            assert np.max(np.abs(h[:, 0] - h_full)) <= 1e-4 * scale
+
+    def test_positive_rows_separate_in_eta1(self):
+        y = np.array([0.3, 1.0, 7.0])
+        eta1 = np.array([-2.0, 0.0, 3.0])
+        g, h = _loglik_derivs(y, eta1, np.zeros(3), 0.25, 0.125)
+        pi = expit(eta1)
+        assert np.allclose(g[0], 1.0 - pi, rtol=1e-15)
+        assert np.allclose(h[0], -pi * (1.0 - pi), rtol=1e-15)
+        assert np.all(h[1] == 0.0) and np.all(h[2] == 0.0)
+
+    def test_exponential_branch_limit(self):
+        # at xi = 0 the eta derivatives are those of the exponential model:
+        # positive rows log pi - eta2 - y*exp(-eta2), zero rows log(1 - pi*exp(-y0/mu))
+        y = np.array([0.0, 0.0, 0.4, 2.5])
+        eta1 = np.array([0.3, -1.0, 0.5, 1.2])
+        eta2 = np.array([0.1, 0.7, -0.2, 0.4])
+        y0 = 0.125
+        g, h = _loglik_derivs(y, eta1, eta2, 0.0, y0)
+        mu = np.exp(eta2)
+        assert np.allclose(g[1, 2:], -1.0 + y[2:] / mu[2:], rtol=1e-14)
+        assert np.allclose(h[3, 2:], -y[2:] / mu[2:], rtol=1e-14)
+        q = expit(eta1[:2]) * np.exp(-y0 / mu[:2])
+        r = q / (1.0 - q)
+        assert np.allclose(g[1, :2], -r * y0 / mu[:2], rtol=1e-13)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+
+    def test_zero_row_beyond_the_support_end(self):
+        # xi < 0 with the threshold past the support end: no mass above it,
+        # so the term is log(1) = 0 whatever eta2 and xi are
+        xi, y0 = -0.5, 1.0
+        eta2 = math.log(0.2)  # support end mu*(1-xi)/(-xi) = 0.6 < y0
+        g, h = _loglik_derivs(np.array([0.0]), np.array([0.4]), np.array([eta2]), xi, y0)
+        assert np.all(g == 0.0) and np.all(h == 0.0)
 
 
 class TestTypes:
