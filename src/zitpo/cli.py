@@ -30,6 +30,9 @@ from .simulation import (
 
 SCHEMA_VERSION = 1
 
+# Rows that _write_columns formats at a time.
+_WRITE_BLOCK_ROWS = 4096
+
 # Table-style significance codes and their p-value thresholds.
 _SIG_LEVELS = ((0.001, "***"), (0.01, "**"), (0.05, "*"), (0.1, "."))
 
@@ -168,6 +171,26 @@ def _write_json(obj, path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length arrays as CSV columns: integers as they are,
+    floats as their full-precision ``repr``.
+
+    Rows are formatted a block at a time, one conversion per distinct array
+    in the block, so an array passed twice is formatted once.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            text: dict[int, list] = {}
+            for col in columns:
+                if id(col) not in text:
+                    values = col[start : start + _WRITE_BLOCK_ROWS].tolist()
+                    floats = col.dtype.kind not in "iu"
+                    text[id(col)] = list(map(repr, values)) if floats else values
+            writer.writerows(zip(*(text[id(col)] for col in columns)))
 
 
 def _print_coef_table(title: str, rows) -> None:
@@ -332,21 +355,15 @@ def cmd_diagnose(args) -> int:
     if rs.n_pos == 0:
         raise ValueError("no positive observations; nothing to diagnose")
     table = qq_data(rs)
-    with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cols = [
-            "row_id",
-            "residual",
-            "empirical_q",
-            "theoretical_q",
-            "log_empirical_q",
-            "log_theoretical_q",
-        ]
-        writer.writerow(cols)
-        for i in range(rs.n_pos):
-            writer.writerow(
-                [int(table[c][i]) if c == "row_id" else repr(float(table[c][i])) for c in cols]
-            )
+    cols = [
+        "row_id",
+        "residual",
+        "empirical_q",
+        "theoretical_q",
+        "log_empirical_q",
+        "log_theoretical_q",
+    ]
+    _write_columns(args.out_csv, cols, [table[c] for c in cols])
     corr = float(np.corrcoef(table["empirical_q"], table["theoretical_q"])[0, 1])
     print(f"n_pos: {rs.n_pos}  xi_hat: {rs.xi_hat:.4f}")
     print(f"KS statistic: {ks_statistic(rs):.4f}")
@@ -359,11 +376,7 @@ def cmd_simulate(args) -> int:
         n=args.n, reps=1, xi=args.xi, seed=args.seed, y_trunc=args.trunc
     )
     y, spec = simulate_dataset(cfg, args.rep)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", *spec.names1[1:]])
-        for i in range(cfg.n):
-            writer.writerow([repr(float(y[i]))] + [repr(float(v)) for v in spec.x1[i, 1:]])
+    _write_columns(args.out, ["y", *spec.names1[1:]], [y, *spec.x1[:, 1:].T])
     print(f"wrote {cfg.n} rows to {args.out} ({int(np.sum(y > 0))} positive)")
     return 0
 

@@ -10,7 +10,9 @@ columns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +27,9 @@ __all__ = [
     "build_design",
     "make_model_spec",
 ]
+
+# Rows read and transposed at a time by read_csv.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,11 @@ def read_csv(
 
     Responses in ``(0, y_trunc]`` are recoded to zero and counted. Negative,
     missing or unparseable response cells raise with row and column named;
-    missing cells anywhere are rejected.
+    missing cells anywhere are rejected. Of several defects, the first in
+    row-major order is reported.
+
+    Rows are read in chunks of ``_CHUNK_ROWS`` and transposed into columns,
+    so no list of row lists outlives its chunk.
     """
     if y_trunc < 0.0:
         raise ValueError(f"truncation threshold must be nonnegative, got {y_trunc}")
@@ -101,37 +110,47 @@ def read_csv(
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
+        width = len(header)
+        cells: list[list[str]] = [[] for _ in header]
+        # (row, cells) of the first row of the wrong width
+        short = None
+        nrows = 0
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if short is not None:
+                continue  # read on: a decoding error later in the file comes first
+            if set(map(len, chunk)) != {width}:
+                i = next(i for i, row in enumerate(chunk) if len(row) != width)
+                short = (nrows + i + 1, len(chunk[i]))
+                chunk = chunk[:i]
+            for column, part in zip(cells, zip(*chunk)):
+                column.extend(map(str.strip, part))
+            nrows += len(chunk)
     header = [h.strip() for h in header]
     if response_column not in header:
         raise ValueError(f"{path}: no column named {response_column!r}")
     for c in factors:
         if c.variable not in header:
             raise ValueError(f"{path}: no column named {c.variable!r}")
-    columns: dict[str, list[str]] = {name: [] for name in header}
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if cell == "":
-                raise ValueError(f"{path}: missing value at row {i + 1}, column {name!r}")
-            columns[name].append(cell)
+    # the first empty cell, by row and then by column, among the rows
+    # before the first one of the wrong width
+    missing = min(
+        ((column.index(""), j) for j, column in enumerate(cells) if "" in column),
+        default=None,
+    )
+    if missing is not None:
+        row, j = missing
+        raise ValueError(f"{path}: missing value at row {row + 1}, column {header[j]!r}")
+    if short is not None:
+        raise ValueError(f"{path}: row {short[0]} has {short[1]} cells, expected {width}")
 
+    columns = _frame(header, cells)
     raw = columns.pop(response_column)
-    y = np.empty(len(raw))
-    for i, cell in enumerate(raw):
-        try:
-            y[i] = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"{path}: cannot parse {cell!r} at row {i + 1}, column {response_column!r}"
-            ) from None
-        if not np.isfinite(y[i]) or y[i] < 0.0:
-            raise ValueError(
-                f"{path}: response must be a nonnegative number, got {cell!r} "
-                f"at row {i + 1}"
-            )
+    try:
+        y = np.fromiter(map(float, raw), float, count=len(raw))
+    except ValueError:
+        y = None
+    if y is None or not np.all(np.isfinite(y) & (y >= 0.0)):
+        raise ValueError(_response_defect(path, raw, response_column))
     recode = (y > 0.0) & (y <= y_trunc)
     y[recode] = 0.0
     return Dataset(
@@ -141,6 +160,42 @@ def read_csv(
         recode_count=int(np.sum(recode)),
         factors=tuple(factors),
     )
+
+
+def _frame(header: list[str], cells: list[list[str]]) -> dict[str, list[str]]:
+    """Name the columns; a repeated header name gathers its cells row by row."""
+    grouped: dict[str, list[list[str]]] = {}
+    for name, column in zip(header, cells):
+        grouped.setdefault(name, []).append(column)
+    return {
+        name: parts[0] if len(parts) == 1 else [c for row in zip(*parts) for c in row]
+        for name, parts in grouped.items()
+    }
+
+
+def _response_defect(path, raw: list[str], response_column: str) -> str:
+    """The message for the first response cell that is not a nonnegative number."""
+    for i, cell in enumerate(raw):
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"{path}: cannot parse {cell!r} at row {i + 1}, column {response_column!r}"
+        if not math.isfinite(value) or value < 0.0:
+            return (
+                f"{path}: response must be a nonnegative number, got {cell!r} "
+                f"at row {i + 1}"
+            )
+    raise AssertionError("no defective response cell")
+
+
+def _first_unparseable(cells: list[str]) -> tuple[int, str]:
+    """Index and text of the first cell that ``float`` rejects."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i, cell
+    raise AssertionError("every cell parses")
 
 
 def parse_formula(text: str) -> FormulaSpec:
@@ -180,32 +235,27 @@ def _is_identifier(s: str) -> bool:
     )
 
 
-def _levels(values: list[str]) -> list[str]:
-    seen: dict[str, None] = {}
-    for v in values:
-        seen.setdefault(v, None)
-    return list(seen)
-
-
 def _coded_columns(
     ds: Dataset, variable: str, declared_levels: dict[str, list[str]] | None = None
-) -> tuple[list[str], np.ndarray]:
-    """Code one variable: factor contrast columns or a single numeric column."""
+) -> tuple[list[str], np.ndarray, list[str] | None]:
+    """Code one variable: factor contrast columns or a single numeric column.
+
+    The third item is the factor's levels, or ``None`` for a numeric column.
+    """
     if variable not in ds.frame:
         raise ValueError(f"unknown variable {variable!r}")
     values = ds.frame[variable]
     contrast = ds.contrast_for(variable)
     if contrast is None:
-        col = np.empty(len(values))
-        for i, cell in enumerate(values):
-            try:
-                col[i] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"cannot parse {cell!r} as a number at row {i + 1}, "
-                    f"column {variable!r} (declare it as a factor?)"
-                ) from None
-        return [variable], col.reshape(-1, 1)
+        try:
+            col = np.fromiter(map(float, values), float, count=len(values))
+        except ValueError:
+            i, cell = _first_unparseable(values)
+            raise ValueError(
+                f"cannot parse {cell!r} as a number at row {i + 1}, "
+                f"column {variable!r} (declare it as a factor?)"
+            ) from None
+        return [variable], col.reshape(-1, 1), None
 
     if declared_levels is not None and variable in declared_levels:
         levels = declared_levels[variable]
@@ -216,7 +266,7 @@ def _coded_columns(
                 "when the design was defined"
             )
     else:
-        levels = _levels(values)
+        levels = list(dict.fromkeys(values))
     if len(levels) < 2:
         raise ValueError(f"factor {variable!r} has fewer than two levels")
 
@@ -224,20 +274,18 @@ def _coded_columns(
         base = contrast.base if contrast.base is not None else levels[0]
         if base not in levels:
             raise ValueError(f"base level {base!r} not among levels of {variable!r}")
-        kept = [lv for lv in levels if lv != base]
-        cols = np.zeros((len(values), len(kept)))
-        for j, lv in enumerate(kept):
-            cols[:, j] = [1.0 if v == lv else 0.0 for v in values]
     else:
-        dropped = contrast.base if contrast.base is not None else levels[-1]
-        if dropped not in levels:
-            raise ValueError(f"dropped level {dropped!r} not among levels of {variable!r}")
-        kept = [lv for lv in levels if lv != dropped]
-        cols = np.zeros((len(values), len(kept)))
-        for j, lv in enumerate(kept):
-            cols[:, j] = [1.0 if v == lv else (-1.0 if v == dropped else 0.0) for v in values]
+        base = contrast.base if contrast.base is not None else levels[-1]
+        if base not in levels:
+            raise ValueError(f"dropped level {base!r} not among levels of {variable!r}")
+    index = {lv: k for k, lv in enumerate(levels)}
+    codes = np.fromiter(map(index.__getitem__, values), np.intp, count=len(values))
+    kept = [lv for lv in levels if lv != base]
+    cols = (codes[:, None] == [index[lv] for lv in kept]).astype(float)
+    if contrast.kind == "sum":
+        cols[codes == index[base]] = -1.0
     names = [f"{variable}={lv}" for lv in kept]
-    return names, cols
+    return names, cols, levels
 
 
 def build_design(
@@ -251,32 +299,40 @@ def build_design(
     levels used, so a later rebuild (e.g. at predict time) can reject
     unseen levels. Rank deficiency is reported with the offending columns.
     """
+    return _build_design(ds, formula, declared_levels, {})
+
+
+def _build_design(
+    ds: Dataset,
+    formula: FormulaSpec,
+    declared_levels: dict[str, list[str]] | None,
+    coded: dict[str, tuple],
+) -> tuple[np.ndarray, tuple[str, ...], dict[str, list[str]]]:
+    """:func:`build_design` with each variable's coding taken from ``coded``,
+    filled on first use, so that several parts convert a column once."""
     names: list[str] = ["intercept"]
     blocks: list[np.ndarray] = [np.ones((ds.n, 1))]
-    term_cols: dict[str, tuple[list[str], np.ndarray]] = {}
     levels_used: dict[str, list[str]] = {}
 
-    def coded(variable: str) -> tuple[list[str], np.ndarray]:
-        if variable not in term_cols:
-            term_cols[variable] = _coded_columns(ds, variable, declared_levels)
-            if ds.contrast_for(variable) is not None:
-                if declared_levels is not None and variable in declared_levels:
-                    levels_used[variable] = list(declared_levels[variable])
-                else:
-                    levels_used[variable] = _levels(ds.frame[variable])
-        return term_cols[variable]
+    def code(variable: str) -> tuple[list[str], np.ndarray]:
+        if variable not in coded:
+            coded[variable] = _coded_columns(ds, variable, declared_levels)
+        term_names, cols, levels = coded[variable]
+        if levels is not None:
+            levels_used[variable] = list(levels)
+        return term_names, cols
 
     for term in formula.terms:
         if ":" in term:
             a, b = term.split(":")
-            names_a, cols_a = coded(a)
-            names_b, cols_b = coded(b)
+            names_a, cols_a = code(a)
+            names_b, cols_b = code(b)
             for ja, na in enumerate(names_a):
                 for jb, nb in enumerate(names_b):
                     names.append(f"{na}:{nb}")
                     blocks.append((cols_a[:, ja] * cols_b[:, jb]).reshape(-1, 1))
         else:
-            term_names, cols = coded(term)
+            term_names, cols = code(term)
             names.extend(term_names)
             blocks.append(cols)
 
@@ -306,9 +362,13 @@ def make_model_spec(
     mu_formula: FormulaSpec,
     declared_levels: dict[str, list[str]] | None = None,
 ) -> tuple[ModelSpec, dict[str, list[str]]]:
-    """Design matrices for both model parts from one dataset."""
-    x1, names1, lv1 = build_design(ds, pi_formula, declared_levels)
-    x2, names2, lv2 = build_design(ds, mu_formula, declared_levels)
+    """Design matrices for both model parts from one dataset.
+
+    Each variable is converted once and shared by the two parts.
+    """
+    coded: dict[str, tuple] = {}
+    x1, names1, lv1 = _build_design(ds, pi_formula, declared_levels, coded)
+    x2, names2, lv2 = _build_design(ds, mu_formula, declared_levels, coded)
     levels = dict(lv1)
     levels.update(lv2)
     return ModelSpec(x1=x1, x2=x2, names1=names1, names2=names2), levels

@@ -9,7 +9,10 @@ import pytest
 from scipy.special import expit
 
 from zitpo.cli import main, sig_code
-from zitpo.simulation import SimConfig, simulate_dataset
+from zitpo.data_io import make_model_spec, parse_formula, read_csv
+from zitpo.diagnostics import qq_data, residuals
+from zitpo.estimation import fit_mle
+from zitpo.simulation import SimConfig, reference_config, simulate_dataset
 
 
 def write_response_csv(path, y, extra=None):
@@ -220,6 +223,22 @@ class TestDiagnose:
         ordered = [float(r[2]) for r in rows[1:]]
         assert ordered == sorted(ordered)
 
+    def test_csv_rereads_to_the_qq_table(self, tmp_path, bernoulli_exp_csv):
+        path, _ = bernoulli_exp_csv
+        out_csv = tmp_path / "qq.csv"
+        assert main([
+            "diagnose", "--data", path, "--response", "y", "--trunc", "0",
+            "--out-csv", str(out_csv),
+        ]) == 0
+        ds = read_csv(path, "y", 0.0)
+        spec, _ = make_model_spec(ds, parse_formula(""), parse_formula(""))
+        table = qq_data(residuals(ds.y, 0.0, fit_mle(ds.y, 0.0, spec), spec))
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == table["row_id"].tolist()
+        for j, name in enumerate(self.CSV_COLUMNS[1:], start=1):
+            assert np.array_equal([float(r[j]) for r in rows], table[name])
+
     def test_report_roundtrip_skips_refitting(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         report_path = tmp_path / "report.json"
@@ -267,6 +286,21 @@ class TestSimulate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["y", "normal", "poisson", "bernoulli1", "bernoulli2", "exponential"]
         assert len(rows) == 201
+
+    def test_output_rereads_to_the_simulated_arrays(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert main([
+            "simulate", "--n", "300", "--xi", "-0.2", "--trunc", "0.5", "--seed", "4",
+            "--rep", "2", "--out", str(out),
+        ]) == 0
+        cfg = reference_config(n=300, reps=1, xi=-0.2, seed=4, y_trunc=0.5)
+        y, spec = simulate_dataset(cfg, 2)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y", *spec.names1[1:]]
+        cells = np.array([[float(c) for c in r] for r in rows[1:]])
+        assert np.array_equal(cells[:, 0], y)
+        assert np.array_equal(cells[:, 1:], spec.x1[:, 1:])
 
 
 class TestCoverage:
