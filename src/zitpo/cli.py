@@ -22,6 +22,7 @@ from .estimation import FitResult, fit_mle, lrt, norm_sf
 from .model import CoefVector
 from .simulation import (
     SimConfig,
+    _num,
     coverage_study,
     reference_config,
     reference_grid,
@@ -42,11 +43,6 @@ def sig_code(p: float) -> str:
         if p < threshold:
             return code
     return ""
-
-
-def _num(v):
-    v = float(v)
-    return v if np.isfinite(v) else None
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -92,13 +88,22 @@ def _load_init(path: str) -> CoefVector:
     )
 
 
+def _read_model(
+    path, response, y_trunc, factors, pi_formula, mu_formula, declared_levels=None
+):
+    """Read the CSV and build both designs: (dataset, spec, levels)."""
+    ds = read_csv(path, response, y_trunc, factors)
+    spec, levels = make_model_spec(
+        ds, parse_formula(pi_formula), parse_formula(mu_formula), declared_levels
+    )
+    return ds, spec, levels
+
+
 def _prepare(args):
     factors = tuple(_parse_factor(f) for f in args.factor)
-    ds = read_csv(args.data, args.response, args.trunc, factors)
-    pi_formula = parse_formula(args.pi_formula)
-    mu_formula = parse_formula(args.mu_formula)
-    spec, levels = make_model_spec(ds, pi_formula, mu_formula)
-    return ds, pi_formula, mu_formula, spec, levels
+    return _read_model(
+        args.data, args.response, args.trunc, factors, args.pi_formula, args.mu_formula
+    )
 
 
 def _coef_rows(names, est, se, converged):
@@ -207,7 +212,7 @@ def _print_coef_table(title: str, rows) -> None:
 
 
 def cmd_fit(args) -> int:
-    ds, _, _, spec, levels = _prepare(args)
+    ds, spec, levels = _prepare(args)
     init = _load_init(args.init) if args.init else None
     fit = fit_mle(
         ds.y, ds.y_trunc, spec, init=init, fix_xi=args.fix_xi, keep_trace=args.trace
@@ -241,7 +246,7 @@ def _drop_term(formula_text: str, term: str) -> tuple[str, bool]:
 
 
 def cmd_lrt(args) -> int:
-    ds, _, _, spec, _ = _prepare(args)
+    ds, spec, _ = _prepare(args)
     fix = args.fix_xi
     full = fit_mle(ds.y, ds.y_trunc, spec, fix_xi=fix)
     if not full.converged:
@@ -291,14 +296,13 @@ def cmd_lrt(args) -> int:
     return 0
 
 
-def _fit_from_report(report: dict, spec) -> FitResult:
+def _fit_from_report(report: dict) -> FitResult:
+    """The stored fit of a ``zitpo fit`` report; a ``null`` SE becomes NaN."""
     fit_part = report["fit"]
-    p1 = len(fit_part["pi_part"])
-    p2 = len(fit_part["mu_part"])
     se = np.array(
-        [r["se"] if r["se"] is not None else np.nan for r in fit_part["pi_part"]]
-        + [r["se"] if r["se"] is not None else np.nan for r in fit_part["mu_part"]]
-        + [fit_part["xi"]["se"] if fit_part["xi"]["se"] is not None else np.nan]
+        [r["se"] for r in fit_part["pi_part"] + fit_part["mu_part"]]
+        + [fit_part["xi"]["se"]],
+        dtype=float,
     )
     coef = CoefVector(
         beta1=np.array([r["estimate"] for r in fit_part["pi_part"]]),
@@ -308,7 +312,7 @@ def _fit_from_report(report: dict, spec) -> FitResult:
     return FitResult(
         coef=coef,
         se=se,
-        cov=np.full((p1 + p2 + 1, p1 + p2 + 1), np.nan),
+        cov=np.full((se.size, se.size), np.nan),
         loglik=fit_part["loglik"],
         n_zero=report["data"]["n_zero"],
         n_pos=report["data"]["n_pos"],
@@ -325,27 +329,23 @@ def cmd_diagnose(args) -> int:
     if args.report:
         with open(args.report, encoding="utf-8") as fh:
             report = json.load(fh)
+        model = report["model"]
         factors = tuple(
             ContrastSpec(variable=f["variable"], kind=f["kind"], base=f["base"])
-            for f in report["model"]["factors"]
+            for f in model["factors"]
         )
-        ds = read_csv(
-            args.data, report["model"]["response"], report["model"]["y_trunc"], factors
+        ds, spec, _ = _read_model(
+            args.data, model["response"], model["y_trunc"], factors,
+            model["pi_formula"], model["mu_formula"], model["levels"],
         )
-        spec, _ = make_model_spec(
-            ds,
-            parse_formula(report["model"]["pi_formula"]),
-            parse_formula(report["model"]["mu_formula"]),
-            declared_levels=report["model"]["levels"],
-        )
-        fit = _fit_from_report(report, spec)
+        fit = _fit_from_report(report)
         if not fit.converged:
             print("error: stored fit did not converge", file=sys.stderr)
             return 2
     else:
         if args.response is None or args.trunc is None:
             raise ValueError("either --report or --response/--trunc must be given")
-        ds, _, _, spec, levels = _prepare(args)
+        ds, spec, _ = _prepare(args)
         fit = fit_mle(ds.y, ds.y_trunc, spec, fix_xi=args.fix_xi)
         if not fit.converged:
             print("error: fit did not converge", file=sys.stderr)
@@ -397,14 +397,8 @@ def cmd_coverage(args) -> int:
         cells = reference_grid(args.seed)
         if args.reps is not None:
             cells = [dataclasses.replace(cfg, reps=args.reps) for cfg in cells]
-        reports = [coverage_study(cfg) for cfg in cells]
-        payload = {"cells": [r.to_dict() for r in reports]}
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        reports = [coverage_study(cfg).to_dict() for cfg in cells]
+        _write_json({"cells": reports}, args.out)
         return 0
     if args.preset == "reference":
         cfg = reference_config(
@@ -431,12 +425,7 @@ def cmd_coverage(args) -> int:
     else:
         raise ValueError(f"unknown preset {args.preset!r}")
     report = coverage_study(cfg, collect_estimates=args.estimates_csv is not None)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_json(report.to_dict(), args.out)
     if args.estimates_csv:
         with open(args.estimates_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

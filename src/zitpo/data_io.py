@@ -96,8 +96,8 @@ def read_csv(
 
     Responses in ``(0, y_trunc]`` are recoded to zero and counted. Negative,
     missing or unparseable response cells raise with row and column named;
-    missing cells anywhere are rejected. Of several defects, the first in
-    row-major order is reported.
+    missing cells anywhere and header names given twice are rejected. Of
+    several defects, the first in row-major order is reported.
 
     Rows are read in chunks of ``_CHUNK_ROWS`` and transposed into columns,
     so no list of row lists outlives its chunk.
@@ -131,6 +131,11 @@ def read_csv(
     for c in factors:
         if c.variable not in header:
             raise ValueError(f"{path}: no column named {c.variable!r}")
+    if len(set(header)) < len(header):
+        name = next(h for h in header if header.count(h) > 1)
+        raise ValueError(
+            f"{path}: column name {name!r} appears more than once in the header"
+        )
     # the first empty cell, by row and then by column, among the rows
     # before the first one of the wrong width
     missing = min(
@@ -143,7 +148,7 @@ def read_csv(
     if short is not None:
         raise ValueError(f"{path}: row {short[0]} has {short[1]} cells, expected {width}")
 
-    columns = _frame(header, cells)
+    columns = dict(zip(header, cells))
     raw = columns.pop(response_column)
     try:
         y = np.fromiter(map(float, raw), float, count=len(raw))
@@ -160,17 +165,6 @@ def read_csv(
         recode_count=int(np.sum(recode)),
         factors=tuple(factors),
     )
-
-
-def _frame(header: list[str], cells: list[list[str]]) -> dict[str, list[str]]:
-    """Name the columns; a repeated header name gathers its cells row by row."""
-    grouped: dict[str, list[list[str]]] = {}
-    for name, column in zip(header, cells):
-        grouped.setdefault(name, []).append(column)
-    return {
-        name: parts[0] if len(parts) == 1 else [c for row in zip(*parts) for c in row]
-        for name, parts in grouped.items()
-    }
 
 
 def _response_defect(path, raw: list[str], response_column: str) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, expit, gammaincc, ndtri
 
-from .model import CoefVector, ModelSpec, _loglik_derivs, _loglik_terms
+from .model import CoefVector, ModelSpec, _check_response, _loglik_derivs, _loglik_terms
 
 __all__ = [
     "FitResult",
@@ -171,6 +171,11 @@ def _bump(x: np.ndarray, *moves: tuple[int, float]) -> np.ndarray:
     return out
 
 
+# Stopping rule of the Newton pass (see _maximize_newton): gradient max-norm
+# below _GTOL, at most _MAX_ITER iterations, changes below _FTOL relative flat.
+_GTOL = 1e-6
+_FTOL = 1e-10
+_MAX_ITER = 500
 # Armijo constant of the step-halving search, and the number of halvings
 # (step 2**-40) after which a direction counts as failed.
 _ARMIJO = 1e-4
@@ -193,16 +198,14 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
 
 
-def _maximize_newton(
-    f, derivs, x0, f0: float, gtol: float, ftol: float, max_iter: int, keep_trace: bool
-):
+def _maximize_newton(f, derivs, x0, f0: float, keep_trace: bool):
     """Maximize f by Newton's method with step halving.
 
     ``derivs(x)`` returns the analytic gradient and Hessian of f. A trial
     step is accepted when f rises by the Armijo fraction of the predicted
-    rise, or, when f is flat to within ``ftol * max(1, |f|)`` (near the
+    rise, or, when f is flat to within ``_FTOL * max(1, |f|)`` (near the
     optimum the change is below the rounding of a long sum), when it lowers
-    the gradient max-norm. Convergence means gradient max-norm < gtol.
+    the gradient max-norm. Convergence means gradient max-norm < _GTOL.
 
     Returns (x, fval, converged, iterations, trace).
     """
@@ -212,10 +215,10 @@ def _maximize_newton(
     gnorm = _max_norm(g, H)
     trace: list[tuple[int, float, float]] = []
     it = 0
-    while gtol <= gnorm < math.inf and it < max_iter:
+    while _GTOL <= gnorm < math.inf and it < _MAX_ITER:
         p = _newton_direction(g, H)
         slope = float(g @ p)
-        flat = ftol * max(1.0, abs(fx))
+        flat = _FTOL * max(1.0, abs(fx))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
@@ -234,7 +237,7 @@ def _maximize_newton(
         x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
         if keep_trace:
             trace.append((it, fx, gnorm))
-    return x, fx, gnorm < gtol, it, tuple(trace)
+    return x, fx, gnorm < _GTOL, it, tuple(trace)
 
 
 def _max_norm(grad: np.ndarray, hess: np.ndarray) -> float:
@@ -296,11 +299,7 @@ def fit_mle(
     init: CoefVector | None = None,
     *,
     fix_xi: float | None = None,
-    gtol: float = 1e-6,
-    ftol: float = 1e-10,
-    max_iter: int = 500,
     keep_trace: bool = False,
-    retry_seed: int = 0,
 ) -> FitResult:
     """Fit the mixture model by maximum likelihood.
 
@@ -318,33 +317,17 @@ def fit_mle(
         the remaining coefficients, and xi = 0.1.
     fix_xi : float, optional
         Freeze the shape at this value instead of estimating it.
-    gtol, ftol, max_iter :
-        Convergence controls: the fit converges once the analytic gradient
-        max-norm (in the optimizer's coordinates) is below ``gtol``. A step
-        that changes the log-likelihood by less than ``ftol`` relative counts
-        as flat and is accepted if it lowers that max-norm. ``max_iter``
-        caps the Newton iterations.
     keep_trace : bool
         Record (iteration, loglik, gradient-norm) triples, one per Newton
         iteration.
-    retry_seed : int
-        Seed for the single perturbed restart used when the first pass does
-        not converge.
 
-    The fit is deterministic given (data, init, options). If the optimizer
-    does not converge after the perturbed retry, the result is returned with
-    ``converged=False`` and NaN standard errors.
+    One Newton pass runs from the start, so the fit is deterministic given
+    (data, init, fix_xi). If it stops short of convergence (``_MAX_ITER``
+    iterations, or no halved step accepted), or the information at the
+    optimum is not positive definite, the result has ``converged=False``
+    and NaN standard errors.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != spec.n:
-        raise ValueError(f"response length {y.shape} does not match design n={spec.n}")
-    bad = (y < 0.0) | ((y > 0.0) & (y <= y_trunc)) | ~np.isfinite(y)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise ValueError(
-            f"row {row}: response {y[row]} is neither 0 nor above the "
-            f"truncation threshold {y_trunc}"
-        )
+    y = _check_response(y, y_trunc, spec)
     n_pos = int(np.sum(y > 0.0))
     n_zero = y.size - n_pos
     p1, p2 = spec.x1.shape[1], spec.x2.shape[1]
@@ -408,27 +391,9 @@ def fit_mle(
     if not np.isfinite(f0):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
 
-    rng = np.random.default_rng(retry_seed)
-    retry = theta0 + rng.normal(0.0, 0.1, size=theta0.size)
-
-    best = None
-    iterations_total = 0
-    trace: tuple[tuple[int, float, float], ...] = ()
-    for start in (theta0, retry):
-        fstart = f0 if start is theta0 else objective(start)
-        if not np.isfinite(fstart):
-            continue
-        xhat, fval, ok, its, tr = _maximize_newton(
-            objective, derivs, start, fstart, gtol, ftol, max_iter, keep_trace
-        )
-        iterations_total += its
-        if best is None or fval > best[1] or (ok and not best[2]):
-            best = (xhat, fval, ok)
-            trace = tr
-        if ok:
-            break
-
-    xhat, fval, converged = best
+    xhat, fval, converged, iterations, trace = _maximize_newton(
+        objective, derivs, theta0, f0, keep_trace
+    )
     b1, b2, xi = unpack(xhat)
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
 
@@ -453,7 +418,7 @@ def fit_mle(
         n_zero=n_zero,
         n_pos=n_pos,
         converged=converged,
-        iterations=iterations_total,
+        iterations=iterations,
         names1=spec.names1,
         names2=spec.names2,
         y_trunc=float(y_trunc),

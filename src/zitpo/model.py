@@ -390,15 +390,9 @@ def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
     return g, h
 
 
-def log_likelihood(
-    y, y_trunc: float, spec: ModelSpec, coef: CoefVector
-) -> float:
-    """Model log-likelihood, summed in row order with compensated summation.
-
-    Every response must be exactly zero or strictly above ``y_trunc``;
-    offending rows are reported. A non-finite total (e.g. a zero observed
-    where the model puts no mass) raises.
-    """
+def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:
+    """The response as a float array, checked against the design length and
+    for rows that are neither 0 nor above ``y_trunc`` (the first is named)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise ValueError(f"response length {y.shape} does not match design n={spec.n}")
@@ -409,6 +403,19 @@ def log_likelihood(
             f"row {row}: response {y[row]} is neither 0 nor above the "
             f"truncation threshold {y_trunc}"
         )
+    return y
+
+
+def log_likelihood(
+    y, y_trunc: float, spec: ModelSpec, coef: CoefVector
+) -> float:
+    """Model log-likelihood, summed in row order with compensated summation.
+
+    Every response must be exactly zero or strictly above ``y_trunc``;
+    offending rows are reported. A non-finite total (e.g. a zero observed
+    where the model puts no mass) raises.
+    """
+    y = _check_response(y, y_trunc, spec)
     pi, mu = predict(spec, coef)
     total = math.fsum(_loglik_terms(y, pi, mu, coef.xi, y_trunc))
     if not np.isfinite(total):

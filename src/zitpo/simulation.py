@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,22 +220,16 @@ def _draw_column(rng: np.random.Generator, spec: tuple, n: int) -> np.ndarray:
 
 
 def _recipe_names(recipe: tuple) -> tuple[str, ...]:
-    counts: dict[str, int] = {}
+    """Column names of a recipe's design; a repeated kind is numbered:
+    bernoulli -> bernoulli1, bernoulli2."""
+    total = Counter(spec[0] for spec in recipe)
+    seen: Counter[str] = Counter()
     names = ["intercept"]
     for spec in recipe:
         kind = spec[0]
-        counts[kind] = counts.get(kind, 0) + 1
-        names.append(kind)
-    # disambiguate repeated kinds: bernoulli -> bernoulli1, bernoulli2
-    seen: dict[str, int] = {}
-    out = []
-    for name in names:
-        if counts.get(name, 0) > 1:
-            seen[name] = seen.get(name, 0) + 1
-            out.append(f"{name}{seen[name]}")
-        else:
-            out.append(name)
-    return tuple(out)
+        seen[kind] += 1
+        names.append(f"{kind}{seen[kind]}" if total[kind] > 1 else kind)
+    return tuple(names)
 
 
 def simulate_dataset(cfg: SimConfig, rep_index: int) -> tuple[np.ndarray, ModelSpec]:

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from zitpo.cli import main, sig_code
+from zitpo.cli import _fit_from_report, main, sig_code
 from zitpo.data_io import make_model_spec, parse_formula, read_csv
 from zitpo.diagnostics import qq_data, residuals
 from zitpo.estimation import fit_mle
-from zitpo.simulation import SimConfig, reference_config, simulate_dataset
+from zitpo.simulation import SimConfig, coverage_study, reference_config, simulate_dataset
 
 
 def write_response_csv(path, y, extra=None):
@@ -123,6 +123,10 @@ class TestFit:
         report = json.loads(out.read_text())
         assert report["fit"]["converged"] is False
         assert report["fit"]["pi_part"][0]["se"] is None
+        assert report["fit"]["xi"]["se"] is None
+        stored = _fit_from_report(report)
+        assert not stored.converged
+        assert stored.se.dtype == float and np.all(np.isnan(stored.se))
 
     def test_report_is_deterministic(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
@@ -258,6 +262,34 @@ class TestDiagnose:
         ]) == 0
         assert direct_csv.read_bytes() == reread_csv.read_bytes()
 
+    @pytest.mark.parametrize("fix_xi", [None, "0.1"])
+    def test_report_gives_back_the_fit(self, tmp_path, fix_xi):
+        cfg = reference_config(n=600, reps=1, xi=0.25, seed=6)
+        y, spec = simulate_dataset(cfg, 0)
+        data = tmp_path / "sim.csv"
+        assert main([
+            "simulate", "--n", "600", "--xi", "0.25", "--seed", "6", "--out", str(data),
+        ]) == 0
+        terms = ", ".join(spec.names1[1:])
+        report_path = tmp_path / "report.json"
+        argv = [
+            "fit", "--data", str(data), "--response", "y", "--trunc", str(cfg.y_trunc),
+            "--pi-formula", terms, "--mu-formula", terms, "--out", str(report_path),
+        ]
+        assert main(argv + (["--fix-xi", fix_xi] if fix_xi else [])) == 0
+        fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=None if fix_xi is None else float(fix_xi))
+        with open(report_path, encoding="utf-8") as fh:
+            stored = _fit_from_report(json.load(fh))
+        assert np.array_equal(stored.estimates, fit.estimates)
+        assert np.array_equal(stored.se, fit.se)
+        assert (stored.names1, stored.names2) == (fit.names1, fit.names2)
+        for field in (
+            "converged", "iterations", "loglik", "n_zero", "n_pos", "y_trunc", "xi_fixed"
+        ):
+            assert getattr(stored, field) == getattr(fit, field), field
+        if fix_xi is not None:
+            assert stored.xi_fixed and stored.se[-1] == 0.0
+
     def test_no_positive_observations_is_an_error(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         report_path = tmp_path / "report.json"
@@ -370,6 +402,20 @@ class TestCoverage:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "grid.json").exists()
         assert not (tmp_path / "est.csv").exists()
+
+    def test_report_text_is_to_json_on_file_and_stdout(self, tmp_path, capsys):
+        cfg = reference_config(n=400, reps=3, xi=0.25, seed=5)
+        want = coverage_study(cfg).to_json() + "\n"
+        argv = ["coverage", "--preset", "reference", "--n", "400", "--reps", "3",
+                "--xi", "0.25", "--seed", "5"]
+        out = tmp_path / "cov.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(want)
+        assert printed[len(want):].startswith("  pi:intercept")
 
     def test_small_run_writes_report(self, tmp_path):
         out = tmp_path / "cov.json"

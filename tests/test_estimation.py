@@ -4,6 +4,8 @@ The LRT null calibration and Wald z studies come from the session-scoped
 ``lrt_null_study`` fixture (500 seeded replicates at n=1000).
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -301,6 +303,15 @@ class TestFitMle:
         logliks = [t[1] for t in fit.trace]
         assert logliks[-1] >= logliks[0]
 
+    def test_iteration_cap_returns_an_unconverged_fit(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+        cfg = reference_config(n=500, reps=1, xi=0.25, seed=13)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        assert not fit.converged and fit.iterations == 1
+        assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.cov))
+        assert np.isfinite(fit.loglik)
+
     def test_full_model_dominates_reduced(self):
         cfg = reference_config(n=800, reps=1, xi=0.25, seed=15)
         y, spec = simulate_dataset(cfg, 0)
@@ -310,6 +321,45 @@ class TestFitMle:
         )
         reduced = fit_mle(y, cfg.y_trunc, reduced_spec)
         assert full.loglik >= reduced.loglik - 1e-6
+
+
+# (seed, xi) of the invariance fits: a heavy tail, a finite support end and
+# the exponential limit, each at n = 600.
+INVARIANCE_CASES = [(1, 0.25), (2, -0.2), (3, 0.0)]
+
+
+def invariance_problem(seed, xi):
+    cfg = reference_config(n=600, reps=1, xi=xi, seed=seed)
+    y, spec = simulate_dataset(cfg, 0)
+    return y, cfg.y_trunc, spec, fit_mle(y, cfg.y_trunc, spec)
+
+
+class TestInvariance:
+    @pytest.mark.parametrize("seed,xi", INVARIANCE_CASES)
+    def test_row_order_does_not_change_the_fit(self, seed, xi):
+        y, y_trunc, spec, fit = invariance_problem(seed, xi)
+        perm = np.random.default_rng(seed).permutation(y.size)
+        shuffled = ModelSpec(
+            x1=spec.x1[perm], x2=spec.x2[perm], names1=spec.names1, names2=spec.names2
+        )
+        refit = fit_mle(y[perm], y_trunc, shuffled)
+        assert fit.converged and refit.converged
+        assert np.allclose(refit.estimates, fit.estimates, rtol=1e-7, atol=0.0)
+        assert refit.loglik == pytest.approx(fit.loglik, rel=1e-9)
+
+    @pytest.mark.parametrize("seed,xi", INVARIANCE_CASES)
+    @pytest.mark.parametrize("c", [0.01, 7.0, 1000.0])
+    def test_rescaling_the_response_shifts_only_the_mu_intercept(self, seed, xi, c):
+        y, y_trunc, spec, fit = invariance_problem(seed, xi)
+        refit = fit_mle(c * y, c * y_trunc, spec)
+        assert fit.converged and refit.converged
+        j = spec.x1.shape[1]  # the mu intercept
+        assert refit.estimates[j] - fit.estimates[j] == pytest.approx(math.log(c), abs=1e-7)
+        assert np.allclose(
+            np.delete(refit.estimates, j), np.delete(fit.estimates, j), rtol=1e-7, atol=0.0
+        )
+        # each positive row's density picks up the Jacobian 1/c
+        assert refit.loglik == pytest.approx(fit.loglik - fit.n_pos * math.log(c), rel=1e-9)
 
 
 class TestConfidenceInterval:

@@ -211,9 +211,10 @@ class TestErrorPrecedence:
         )
 
 
-def test_repeated_header_name_matches_the_reference(tmp_path):
-    # A name given twice gathers both columns' cells row by row.
-    path = write(tmp_path, "y,a,note,note\n1.0,2,p,q\n0.5,3,r,s\n")
-    got, want = read_csv(path, "y", 0.0), ref.read_csv(path, "y", 0.0)
-    assert got.frame["note"] == ["p", "q", "r", "s"]
-    assert_same_dataset(got, want)
+def test_repeated_header_name_is_rejected(tmp_path):
+    # the header is checked before the cells: the missing cell is not named
+    path = write(tmp_path, "y,a, note,note \n1.0,2,p,q\n0.5,,r,s\n")
+    with pytest.raises(ValueError) as info:
+        read_csv(path, "y", 0.0)
+    message = f"{path}: column name 'note' appears more than once in the header"
+    assert str(info.value) == message
