@@ -1,11 +1,12 @@
 """Maximum-likelihood fitting and Wald / likelihood-ratio inference.
 
-The likelihood is maximized by Newton's method with step halving, on the
-analytic score and Hessian assembled from the per-row derivatives of
-:func:`zitpo.model._loglik_derivs`. The shape parameter is optimized through
-the bijection ``xi = 1 - exp(-t)`` so the ``xi < 1`` constraint never binds.
-Standard errors come from the observed information (the negative analytic
-Hessian) on the natural scale at the optimum.
+The likelihood is maximized by Newton's method with step halving. Each trial
+point costs one pass of :func:`zitpo.model._loglik_derivs` over the rows; the
+value, the analytic score and the Hessian are all summed from that pass. The
+shape parameter is optimized through the bijection ``xi = 1 - exp(-t)`` so
+the ``xi < 1`` constraint never binds. The reported log-likelihood is a
+compensated sum at the optimum. Standard errors come from the observed
+information (the negative analytic Hessian) on the natural scale there.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them.
@@ -198,37 +199,38 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
 
 
-def _maximize_newton(f, derivs, x0, f0: float, keep_trace: bool):
+def _maximize_newton(evaluate, x0, keep_trace: bool):
     """Maximize f by Newton's method with step halving.
 
-    ``derivs(x)`` returns the analytic gradient and Hessian of f. A trial
-    step is accepted when f rises by the Armijo fraction of the predicted
-    rise, or, when f is flat to within ``_FTOL * max(1, |f|)`` (near the
-    optimum the change is below the rounding of a long sum), when it lowers
-    the gradient max-norm. Convergence means gradient max-norm < _GTOL.
+    ``evaluate(x)`` returns f with its analytic gradient and Hessian, and
+    f = -inf where any of them is not finite, so a point is feasible exactly
+    when f is finite. A trial step is accepted when f rises by the Armijo
+    fraction of the predicted rise, or, when f is flat to within
+    ``_FTOL * max(1, |f|)`` (near the optimum the change is below the
+    rounding of a long sum), when it lowers the gradient max-norm.
+    Convergence means gradient max-norm < _GTOL.
 
-    Returns (x, fval, converged, iterations, trace).
+    Returns (x, converged, iterations, trace); raises ValueError when x0 is
+    not feasible.
     """
     x = np.asarray(x0, dtype=float)
-    fx = f0
-    g, H = derivs(x)
-    gnorm = _max_norm(g, H)
+    fx, g, H = evaluate(x)
+    if not np.isfinite(fx):
+        raise ValueError("log-likelihood is not finite at the starting coefficients")
+    gnorm = float(np.max(np.abs(g)))
     trace: list[tuple[int, float, float]] = []
     it = 0
-    while _GTOL <= gnorm < math.inf and it < _MAX_ITER:
+    while gnorm >= _GTOL and it < _MAX_ITER:
         p = _newton_direction(g, H)
         slope = float(g @ p)
         flat = _FTOL * max(1.0, abs(fx))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
-            ft = f(xt)
-            if np.isfinite(ft) and ft >= fx - flat:
-                gt, Ht = derivs(xt)
-                gtnorm = _max_norm(gt, Ht)
-                if gtnorm < math.inf and (
-                    ft >= fx + _ARMIJO * alpha * slope or gtnorm < gnorm
-                ):
+            ft, gt, Ht = evaluate(xt)
+            if ft >= fx - flat:
+                gtnorm = float(np.max(np.abs(gt)))
+                if ft >= fx + _ARMIJO * alpha * slope or gtnorm < gnorm:
                     break
             alpha *= 0.5
         else:
@@ -237,35 +239,32 @@ def _maximize_newton(f, derivs, x0, f0: float, keep_trace: bool):
         x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
         if keep_trace:
             trace.append((it, fx, gnorm))
-    return x, fx, gnorm < _GTOL, it, tuple(trace)
-
-
-def _max_norm(grad: np.ndarray, hess: np.ndarray) -> float:
-    """Gradient max-norm, or inf when any derivative is not finite."""
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        return math.inf
-    return float(np.max(np.abs(grad)))
+    return x, gnorm < _GTOL, it, tuple(trace)
 
 
 def _score_hessian(y, y_trunc: float, spec: ModelSpec, b1, b2, xi: float, free_xi: bool):
-    """Analytic score and Hessian of the log-likelihood in (beta1, beta2, xi),
-    the xi row and column only when ``free_xi``.
+    """Log-likelihood, analytic score and Hessian in (beta1, beta2, xi), the
+    xi row and column only when ``free_xi``, from one kernel pass.
 
-    The per-row derivatives with respect to (eta1, eta2, xi) are summed into
-    ``X1'g1``, ``X2'g2`` and blocks ``X'(w*X)``; no per-row matrix is formed.
-    Rows go through in blocks of ``_ROW_BLOCK``, so the kernel's temporaries
-    take the same memory at any n.
+    The per-row terms are summed, and their derivatives with respect to
+    (eta1, eta2, xi) are summed into ``X1'g1``, ``X2'g2`` and blocks
+    ``X'(w*X)``; no per-row matrix is formed. Rows go through in blocks of
+    ``_ROW_BLOCK``, so the kernel's temporaries take the same memory at any
+    n. The log-likelihood is -inf when it, the score or the Hessian is not
+    finite.
     """
     x1, x2 = spec.x1, spec.x2
     p1, p2 = x1.shape[1], x2.shape[1]
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
     k = p1 + p2 + int(free_xi)
+    loglik = 0.0
     score = np.zeros(k)
     hess = np.zeros((k, k))
     for lo in range(0, y.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         a1, a2 = x1[rows], x2[rows]
-        g, h = _loglik_derivs(y[rows], a1 @ b1, a2 @ b2, xi, y_trunc)
+        t, g, h = _loglik_derivs(y[rows], a1 @ b1, a2 @ b2, xi, y_trunc)
+        loglik += float(np.sum(t))
         score[s1] += a1.T @ g[0]
         score[s2] += a2.T @ g[1]
         hess[s1, s1] += a1.T @ (h[0][:, None] * a1)
@@ -279,7 +278,9 @@ def _score_hessian(y, y_trunc: float, spec: ModelSpec, b1, b2, xi: float, free_x
     hess[s2, s1] = hess[s1, s2].T
     if free_xi:
         hess[-1, :-1] = hess[:-1, -1]
-    return score, hess
+    if not (math.isfinite(loglik) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
+        loglik = -math.inf
+    return loglik, score, hess
 
 
 def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVector:
@@ -289,6 +290,9 @@ def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVecto
     b1[0] = math.log(frac / (1.0 - frac))
     b2 = np.zeros(spec.x2.shape[1])
     b2[0] = math.log(float(np.mean(y[pos])))
+    if xi_start < 0.0:
+        # keep every positive y inside the support end mu*(1 - xi)/|xi|, twice over
+        b2[0] = max(b2[0], math.log(2.0 * float(np.max(y)) * -xi_start / (1.0 - xi_start)))
     return CoefVector(beta1=b1, beta2=b2, xi=xi_start)
 
 
@@ -314,7 +318,8 @@ def fit_mle(
     init : CoefVector, optional
         Starting coefficients. Defaults to the logit of the positive
         fraction / log of the positive mean for the intercepts, zeros for
-        the remaining coefficients, and xi = 0.1.
+        the remaining coefficients, and xi = 0.1 (or ``fix_xi``; below 0
+        the mu intercept is raised so every positive y is in the support).
     fix_xi : float, optional
         Freeze the shape at this value instead of estimating it.
     keep_trace : bool
@@ -359,49 +364,38 @@ def fit_mle(
         xi = 1.0 - math.exp(-t) if t > -700.0 else -math.inf
         return b1, b2, xi
 
-    def objective(theta: np.ndarray) -> float:
-        b1, b2, xi = unpack(theta)
-        if not np.isfinite(xi) or xi >= 1.0:
-            return -np.inf
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pi = expit(spec.x1 @ b1)
-            mu = np.exp(spec.x2 @ b2)
-            terms = _loglik_terms(y, pi, mu, xi, y_trunc)
-        if not np.all(np.isfinite(terms)):
-            return -np.inf
-        return math.fsum(terms)
-
-    def derivs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(theta: np.ndarray):
         # Chain rule for xi = 1 - exp(-t): dxi/dt = 1 - xi, d2xi/dt2 = -(1 - xi)
         b1, b2, xi = unpack(theta)
-        score, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        if not np.isfinite(xi) or xi >= 1.0:
+            return -math.inf, None, None
+        loglik, score, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
         if fix_xi is None:
             d = 1.0 - xi
             hess[-1, -1] = hess[-1, -1] * d * d - score[-1] * d
             hess[-1, :-1] *= d
             hess[:-1, -1] *= d
             score[-1] *= d
-        return score, hess
+        return loglik, score, hess
 
     theta0 = np.concatenate([init.beta1, init.beta2])
     if fix_xi is None:
         xi0 = min(init.xi, 1.0 - 1e-12)
         theta0 = np.append(theta0, -math.log1p(-xi0))
-    f0 = objective(theta0)
-    if not np.isfinite(f0):
-        raise ValueError("log-likelihood is not finite at the starting coefficients")
-
-    xhat, fval, converged, iterations, trace = _maximize_newton(
-        objective, derivs, theta0, f0, keep_trace
-    )
+    xhat, converged, iterations, trace = _maximize_newton(evaluate, theta0, keep_trace)
     b1, b2, xi = unpack(xhat)
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
+    # the reported value is a compensated sum, so it does not depend on blocking
+    with np.errstate(over="ignore", divide="ignore"):
+        loglik = math.fsum(
+            _loglik_terms(y, expit(spec.x1 @ b1), np.exp(spec.x2 @ b2), xi, y_trunc)
+        )
 
     k = p1 + p2 + 1
     cov = np.full((k, k), np.nan)
     se = np.full(k, np.nan)
     if converged:
-        _, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        _, _, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
         cov_free, ok = _covariance(-hess)
         if ok:
             cov = np.zeros((k, k))
@@ -414,7 +408,7 @@ def fit_mle(
         coef=coef,
         se=se,
         cov=cov,
-        loglik=fval,
+        loglik=loglik,
         n_zero=n_zero,
         n_pos=n_pos,
         converged=converged,

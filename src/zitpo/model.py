@@ -331,16 +331,17 @@ def _phi_derivs(x):
 
 
 def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
-    """Per-row first and second derivatives of :func:`_loglik_terms` with
-    respect to (eta1 = logit pi, eta2 = log mu, xi).
+    """Per-row log-likelihood terms of :func:`_loglik_terms` with their first
+    and second derivatives in (eta1 = logit pi, eta2 = log mu, xi).
 
-    Returns ``(g, h)``: ``g`` of shape (3, n) holds the first derivatives in
-    that order, ``h`` of shape (6, n) the unique second derivatives in the
-    order (11, 12, 1xi, 22, 2xi, xixi). Positive rows depend on eta1 only
-    through log pi, so their eta1 cross terms are zero; zero rows couple all
-    three. A zero row whose threshold lies beyond a ``xi < 0`` support end
-    has no mass above it: its term is log(1) = 0 and all its derivatives are
-    zero.
+    Returns ``(t, g, h)``: ``t`` of shape (n,) holds the terms, ``g`` of
+    shape (3, n) the first derivatives in that order, ``h`` of shape (6, n)
+    the unique second derivatives in the order (11, 12, 1xi, 22, 2xi, xixi).
+    Positive rows depend on eta1 only through log pi, so their eta1 cross
+    terms are zero; zero rows couple all three. A zero row whose threshold
+    lies beyond a ``xi < 0`` support end has no mass above it: its term is
+    log(1) = 0 and all its derivatives are zero. A positive row beyond the
+    support end has a term that is not finite.
 
     Both row kinds go through M = log(1 + xi*w)/xi with w = y/sigma,
     sigma = mu*(1 - xi) (w0 = y_trunc/sigma on zero rows): the positive term
@@ -369,13 +370,14 @@ def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
         # zero rows: l = log(1 - q), q = pi*S, S = exp(-M); r = q / (1 - q)
         beyond = zero & (x <= -1.0)
         surv = np.where(beyond, 0.0, np.exp(-m))
-        r = pi * surv / (qi - pi * np.expm1(-m))
-        r = np.where(beyond, 0.0, r)
+        one_minus_q = np.where(beyond, 1.0, qi - pi * np.expm1(-m))
+        r = pi * surv / one_minus_q
         rr = r * (1.0 + r)
         for arr in (m2, mx, m22, m2x, mxx):
             arr[beyond] = 0.0
 
         one_xi = 1.0 + xi
+        t = np.where(zero, np.log(one_minus_q), np.log(pi) - eta2 - np.log1p(-xi) - one_xi * m)
         g = np.empty((3, y.size))
         h = np.empty((6, y.size))
         g[0] = np.where(zero, -r * qi, qi)
@@ -387,7 +389,7 @@ def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
         h[3] = np.where(zero, r * m22 - rr * m2 * m2, -one_xi * m22)
         h[4] = np.where(zero, r * m2x - rr * m2 * mx, -m2 - one_xi * m2x)
         h[5] = np.where(zero, r * mxx - rr * mx * mx, c * c - 2.0 * mx - one_xi * mxx)
-    return g, h
+    return t, g, h
 
 
 def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:

@@ -271,14 +271,11 @@ def _run_replicate(cfg: SimConfig, rep_index: int):
     return True, fit.estimates, fit.se, covered
 
 
-def coverage_study(
-    cfg: SimConfig, *, workers: int = 1, collect_estimates: bool = False
-) -> CoverageReport:
+def coverage_study(cfg: SimConfig, *, collect_estimates: bool = False) -> CoverageReport:
     """Simulate, fit and score CI coverage over ``cfg.reps`` replicates.
 
-    Replicates run one after another, each from its own RNG stream.
-    ``workers`` is accepted for compatibility and ignored: a thread pool
-    ran the small numpy calls of many short fits slower than one thread.
+    Replicates run one after another, each from its own RNG stream (a thread
+    pool ran the small numpy calls of many short fits slower than one thread).
     Replicates whose fit does not converge are excluded from the aggregates
     and counted; more than 20% of them aborts the study.
     """

@@ -54,6 +54,18 @@ class TestFit:
         assert np.exp(b2) == pytest.approx(np.mean(y[y > 0]), rel=1e-6)
         assert report["fit"]["xi"] == {"estimate": 0.0, "se": 0.0, "fixed": True}
 
+    @pytest.mark.parametrize("xi", ["-0.05", "-0.2"])
+    def test_fixed_negative_shape_starts_inside_the_support(self, tmp_path, xi):
+        # the default start must put every positive y below the support end
+        data, out = tmp_path / "sim.csv", tmp_path / "report.json"
+        assert main(["simulate", "--n", "500", "--xi", "0.25", "--seed", "11",
+                     "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data), "--response", "y", "--trunc", "0.125",
+                     f"--fix-xi={xi}", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["fit"]["converged"] is True
+        assert report["fit"]["xi"] == {"estimate": float(xi), "se": 0.0, "fixed": True}
+
     def test_audience_style_intercepts_recovered(self, tmp_path):
         # rating 12%, 59-minute average, heavy truncation at 4.95 minutes
         cfg = SimConfig(

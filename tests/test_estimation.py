@@ -160,7 +160,7 @@ class TestAnalyticDerivatives:
             y, spec, coef = random_problem(xi, y_trunc, seed)
             v = np.concatenate([coef.beta1, coef.beta2, [xi]])
             f = natural_loglik(y, y_trunc, spec)
-            score, hess = _score_hessian(
+            _, score, hess = _score_hessian(
                 y, y_trunc, spec, coef.beta1, coef.beta2, xi, True
             )
             g_num = numeric_gradient(f, v)
@@ -168,12 +168,25 @@ class TestAnalyticDerivatives:
             h_num = numeric_hessian(f, v)
             assert np.max(np.abs(hess - h_num)) <= 1e-4 * np.max(np.abs(hess))
 
+    @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.25])
+    def test_pass_value_is_the_log_likelihood(self, xi):
+        # more rows than one block of the assembly, so every block is summed
+        y, spec, coef = random_problem(xi, 0.125, 8, n=2 * estimation._ROW_BLOCK + 7)
+        loglik, _, _ = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, True)
+        ref = log_likelihood(y, 0.125, spec, coef)
+        assert loglik == pytest.approx(ref, rel=1e-12)
+        # a positive y past a xi < 0 support end makes the point infeasible
+        y_out = y.copy()
+        y_out[np.argmax(y)] = 1e6
+        out, _, _ = _score_hessian(y_out, 0.125, spec, coef.beta1, coef.beta2, -0.3, True)
+        assert out == -math.inf
+
     @pytest.mark.parametrize("xi", [0.0, 0.25])
     def test_fixed_shape_mode(self, xi):
         y, spec, coef = random_problem(xi, 0.125, 5)
         v = np.concatenate([coef.beta1, coef.beta2])
         f = natural_loglik(y, 0.125, spec, fixed_xi=xi)
-        score, hess = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, False)
+        _, score, hess = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, False)
         assert score.shape == (5,) and hess.shape == (5, 5)
         assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
         h_num = numeric_hessian(f, v)
@@ -192,7 +205,7 @@ class TestAnalyticDerivatives:
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=42)
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec)
-        score, _ = _score_hessian(
+        _, score, _ = _score_hessian(
             y, cfg.y_trunc, spec, fit.coef.beta1, fit.coef.beta2, fit.coef.xi, True
         )
         # natural-scale score; the stopping rule is on (1 - xi) times its last entry
@@ -217,6 +230,28 @@ class TestNewton:
         assert fit.converged
         assert fit.iterations <= 15
         assert len(calls) <= 40
+
+    def test_one_kernel_pass_per_trial_point(self, monkeypatch):
+        # value, score and Hessian share a pass; the compensated sum runs once
+        calls = {"terms": 0, "passes": 0}
+        real_terms, real_pass = estimation._loglik_terms, estimation._score_hessian
+
+        def counted_terms(*args, **kwargs):
+            calls["terms"] += 1
+            return real_terms(*args, **kwargs)
+
+        def counted_pass(*args, **kwargs):
+            calls["passes"] += 1
+            return real_pass(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_loglik_terms", counted_terms)
+        monkeypatch.setattr(estimation, "_score_hessian", counted_pass)
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=21)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        assert fit.converged
+        assert calls["terms"] == 1
+        assert calls["passes"] <= 20
 
     def test_indefinite_information_still_gives_an_ascent_step(self):
         hess = np.diag([-4.0, 1.0, -1e-12])

@@ -302,7 +302,7 @@ class TestLoglikDerivs:
             mu = math.exp(eta[1])
             # zero rows and positive rows, kept inside a xi < 0 support
             y = 0.0 if rng.random() < 0.4 else y_trunc + rng.uniform(0.05, 2.0) * mu
-            g, h = _loglik_derivs(np.array([y]), eta[:1], eta[1:2], xi, y_trunc)
+            _, g, h = _loglik_derivs(np.array([y]), eta[:1], eta[1:2], xi, y_trunc)
             f = row_term(y, y_trunc)
             g_num = numeric_gradient(f, eta)
             h_num = numeric_hessian(f, eta)
@@ -315,7 +315,7 @@ class TestLoglikDerivs:
     def test_positive_rows_separate_in_eta1(self):
         y = np.array([0.3, 1.0, 7.0])
         eta1 = np.array([-2.0, 0.0, 3.0])
-        g, h = _loglik_derivs(y, eta1, np.zeros(3), 0.25, 0.125)
+        _, g, h = _loglik_derivs(y, eta1, np.zeros(3), 0.25, 0.125)
         pi = expit(eta1)
         assert np.allclose(g[0], 1.0 - pi, rtol=1e-15)
         assert np.allclose(h[0], -pi * (1.0 - pi), rtol=1e-15)
@@ -328,7 +328,7 @@ class TestLoglikDerivs:
         eta1 = np.array([0.3, -1.0, 0.5, 1.2])
         eta2 = np.array([0.1, 0.7, -0.2, 0.4])
         y0 = 0.125
-        g, h = _loglik_derivs(y, eta1, eta2, 0.0, y0)
+        _, g, h = _loglik_derivs(y, eta1, eta2, 0.0, y0)
         mu = np.exp(eta2)
         assert np.allclose(g[1, 2:], -1.0 + y[2:] / mu[2:], rtol=1e-14)
         assert np.allclose(h[3, 2:], -y[2:] / mu[2:], rtol=1e-14)
@@ -342,8 +342,37 @@ class TestLoglikDerivs:
         # so the term is log(1) = 0 whatever eta2 and xi are
         xi, y0 = -0.5, 1.0
         eta2 = math.log(0.2)  # support end mu*(1-xi)/(-xi) = 0.6 < y0
-        g, h = _loglik_derivs(np.array([0.0]), np.array([0.4]), np.array([eta2]), xi, y0)
+        _, g, h = _loglik_derivs(np.array([0.0]), np.array([0.4]), np.array([eta2]), xi, y0)
         assert np.all(g == 0.0) and np.all(h == 0.0)
+
+
+class TestLoglikTerms:
+    # (0, XI_TOL) is left out: there _loglik_terms takes the exponential branch
+    @pytest.mark.parametrize("xi", [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7])
+    @pytest.mark.parametrize("y_trunc", [0.0, 0.125])
+    def test_fused_terms_match_loglik_terms(self, xi, y_trunc):
+        rng = np.random.default_rng(23)
+        n = 20000
+        eta1 = rng.normal(0.0, 3.0, n)
+        eta2 = rng.normal(0.3, 1.0, n)
+        mu = np.exp(eta2)
+        y = np.where(rng.random(n) < 0.4, 0.0, y_trunc + rng.uniform(0.05, 2.0, n) * mu)
+        if xi < 0.0:
+            # positive rows inside the support end mu*(1 - xi)/(-xi)
+            y = np.where(y < 0.9 * mu * (1.0 - xi) / -xi, y, 0.0)
+        t, _, _ = _loglik_derivs(y, eta1, eta2, xi, y_trunc)
+        ref = _loglik_terms(y, expit(eta1), mu, xi, y_trunc)
+        assert np.all(np.isfinite(ref))
+        assert np.all(np.abs(t - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+    def test_terms_beyond_the_support_end(self):
+        # support end mu*(1-xi)/(-xi) = 0.6: a zero row with its threshold past
+        # it has log(1) = 0, a positive row past it has no density
+        xi, y0 = -0.5, 1.0
+        eta2 = np.full(3, math.log(0.2))
+        t, _, _ = _loglik_derivs(np.array([0.0, 1.5, 5.0]), np.full(3, 0.4), eta2, xi, y0)
+        assert t[0] == 0.0
+        assert not np.any(np.isfinite(t[1:]))
 
 
 class TestTypes:

@@ -128,12 +128,6 @@ class TestCoverageStudy:
             assert p.coverage in (0.0, 1.0)
             assert p.bias == pytest.approx(p.mean - p.truth, abs=1e-15)
 
-    def test_workers_do_not_change_the_report(self):
-        cfg = reference_config(n=400, reps=6, xi=0.25, seed=4)
-        a = coverage_study(cfg, workers=1)
-        b = coverage_study(cfg, workers=4)
-        assert a.to_json() == b.to_json()
-
     def test_estimates_table(self):
         cfg = reference_config(n=400, reps=3, xi=0.25, seed=6)
         report = coverage_study(cfg, collect_estimates=True)
