@@ -42,8 +42,6 @@ from .estimation import (
     confidence_interval,
     fit_mle,
     lrt,
-    numeric_gradient,
-    numeric_hessian,
     wald_test,
 )
 from .diagnostics import (
@@ -103,8 +101,6 @@ __all__ = [
     "FitResult",
     "TestResult",
     "fit_mle",
-    "numeric_gradient",
-    "numeric_hessian",
     "confidence_interval",
     "wald_test",
     "lrt",

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, _check_rank
 
 __all__ = [
     "Dataset",
@@ -234,7 +234,9 @@ def _coded_columns(
 ) -> tuple[list[str], np.ndarray, list[str] | None]:
     """Code one variable: factor contrast columns or a single numeric column.
 
-    The third item is the factor's levels, or ``None`` for a numeric column.
+    The third item is the factor's levels, or ``None`` for a numeric column,
+    whose cells must parse to finite numbers (``nan``, ``inf`` and ``1e999``
+    are rejected, naming the row).
     """
     if variable not in ds.frame:
         raise ValueError(f"unknown variable {variable!r}")
@@ -249,6 +251,13 @@ def _coded_columns(
                 f"cannot parse {cell!r} as a number at row {i + 1}, "
                 f"column {variable!r} (declare it as a factor?)"
             ) from None
+        finite = np.isfinite(col)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"cannot use {values[i]!r} at row {i + 1}, column {variable!r}: "
+                "covariate values must be finite"
+            )
         return [variable], col.reshape(-1, 1), None
 
     if declared_levels is not None and variable in declared_levels:
@@ -333,21 +342,6 @@ def _build_design(
     x = np.hstack(blocks)
     _check_rank(x, names)
     return x, tuple(names), levels_used
-
-
-def _check_rank(x: np.ndarray, names: list[str]) -> None:
-    if np.linalg.matrix_rank(x) == x.shape[1]:
-        return
-    # walk the columns and name the ones that add no rank
-    offenders = []
-    kept = np.empty((x.shape[0], 0))
-    for j in range(x.shape[1]):
-        candidate = np.hstack([kept, x[:, j : j + 1]])
-        if np.linalg.matrix_rank(candidate) > kept.shape[1]:
-            kept = candidate
-        else:
-            offenders.append(names[j])
-    raise ValueError(f"design is rank deficient; redundant columns: {offenders}")
 
 
 def make_model_spec(

@@ -6,10 +6,12 @@ value, the analytic score and the Hessian are all summed from that pass. The
 shape parameter is optimized through the bijection ``xi = 1 - exp(-t)`` so
 the ``xi < 1`` constraint never binds. The reported log-likelihood is a
 compensated sum at the optimum. Standard errors come from the observed
-information (the negative analytic Hessian) on the natural scale there.
+information there: the negative of the Newton pass's last Hessian, taken back
+to the natural scale of xi.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
-oracles for checking the analytic derivatives; the fitter does not use them.
+oracles for checking the analytic derivatives; the fitter does not use them,
+and the package root does not export them.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, expit, gammaincc, ndtri
 
-from .model import CoefVector, ModelSpec, _check_response, _loglik_derivs, _loglik_terms
+from .model import (
+    CoefVector,
+    ModelSpec,
+    _check_rank,
+    _check_response,
+    _loglik_derivs,
+    _loglik_terms,
+)
 
 __all__ = [
     "FitResult",
     "TestResult",
     "fit_mle",
-    "numeric_gradient",
-    "numeric_hessian",
     "confidence_interval",
     "wald_test",
     "lrt",
@@ -210,8 +217,8 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
     rounding of a long sum), when it lowers the gradient max-norm.
     Convergence means gradient max-norm < _GTOL.
 
-    Returns (x, converged, iterations, trace); raises ValueError when x0 is
-    not feasible.
+    Returns (x, gradient, Hessian, converged, iterations, trace), the
+    derivatives at the returned x; raises ValueError when x0 is not feasible.
     """
     x = np.asarray(x0, dtype=float)
     fx, g, H = evaluate(x)
@@ -239,7 +246,7 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
         x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
         if keep_trace:
             trace.append((it, fx, gnorm))
-    return x, gnorm < _GTOL, it, tuple(trace)
+    return x, g, H, gnorm < _GTOL, it, tuple(trace)
 
 
 def _score_hessian(y, y_trunc: float, spec: ModelSpec, b1, b2, xi: float, free_xi: bool):
@@ -345,9 +352,8 @@ def fit_mle(
             f"need at least {p2 + 1} positive observations for {p2} mean "
             f"coefficients plus the shape, got {n_pos}"
         )
-    for label, x in (("x1", spec.x1), ("x2", spec.x2)):
-        if np.linalg.matrix_rank(x) < x.shape[1]:
-            raise ValueError(f"design matrix {label} is rank deficient")
+    _check_rank(spec.x1, spec.names1)
+    _check_rank(spec.x2, spec.names2)
 
     if init is None:
         init = _default_start(y, spec, 0.1 if fix_xi is None else fix_xi)
@@ -382,7 +388,9 @@ def fit_mle(
     if fix_xi is None:
         xi0 = min(init.xi, 1.0 - 1e-12)
         theta0 = np.append(theta0, -math.log1p(-xi0))
-    xhat, converged, iterations, trace = _maximize_newton(evaluate, theta0, keep_trace)
+    xhat, grad, hess, converged, iterations, trace = _maximize_newton(
+        evaluate, theta0, keep_trace
+    )
     b1, b2, xi = unpack(xhat)
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
     # the reported value is a compensated sum, so it does not depend on blocking
@@ -395,7 +403,12 @@ def fit_mle(
     cov = np.full((k, k), np.nan)
     se = np.full(k, np.nan)
     if converged:
-        _, _, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        if fix_xi is None:
+            # undo evaluate's chain rule on the xi row and column
+            d = 1.0 - xi
+            hess[-1, -1] = (hess[-1, -1] + grad[-1]) / (d * d)
+            hess[-1, :-1] /= d
+            hess[:-1, -1] /= d
         cov_free, ok = _covariance(-hess)
         if ok:
             cov = np.zeros((k, k))

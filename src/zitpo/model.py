@@ -392,6 +392,39 @@ def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
     return t, g, h
 
 
+# Relative eigenvalue floor of the rank check. On the Gram matrix scaled to
+# unit diagonal, an exactly collinear column reads about 1e-17 (rounding) and
+# the reference design about 2e-2, so 1e-12 leaves margin on both sides.
+_RANK_RTOL = 1e-12
+
+
+def _check_rank(x: np.ndarray, names) -> None:
+    """Raise, naming the redundant columns, unless ``x`` has full column rank.
+
+    Rank is decided on X'X scaled to unit diagonal, so the decision does not
+    depend on column units. Walking the columns in order, a column is kept
+    when the scaled Gram block of the kept columns and it has its smallest
+    eigenvalue above ``_RANK_RTOL`` times its largest. A column of zero or
+    non-finite norm is redundant.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.T @ x
+    norm = np.sqrt(np.diag(gram))
+    kept: list[int] = []
+    offenders = []
+    for j, name in enumerate(names):
+        block = kept + [j]
+        if 0.0 < norm[j] < math.inf:
+            scaled = gram[np.ix_(block, block)] / norm[block][:, None] / norm[block]
+            lam = np.linalg.eigvalsh(scaled)
+            if lam[0] > _RANK_RTOL * lam[-1]:
+                kept.append(j)
+                continue
+        offenders.append(name)
+    if offenders:
+        raise ValueError(f"design is rank deficient; redundant columns: {offenders}")
+
+
 def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:
     """The response as a float array, checked against the design length and
     for rows that are neither 0 nor above ``y_trunc`` (the first is named)."""

@@ -99,6 +99,18 @@ class TestFit:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_covariate_is_input_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"y,a\n1.5,0.2\n0,{cell}\n2.5,0.7\n0,1.1\n", encoding="utf-8")
+        code = main([
+            "fit", "--data", str(path), "--response", "y", "--trunc", "0",
+            "--pi-formula", "a",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot use {cell!r} at row 2, column 'a'" in err
+
     def test_init_file_is_used(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         init = tmp_path / "init.json"

@@ -14,6 +14,7 @@ from zitpo.data_io import (
 )
 from zitpo.estimation import fit_mle
 from zitpo.model import predict
+from zitpo.simulation import reference_config, simulate_dataset
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -182,6 +183,23 @@ class TestBuildDesign:
         ds = toy_dataset()
         with pytest.raises(ValueError, match="unknown variable"):
             build_design(ds, parse_formula("height"))
+
+    def test_column_in_large_units_is_accepted(self):
+        # the rank decision is made on the column-scaled Gram matrix
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=7)
+        y, spec = simulate_dataset(cfg, 0)
+        x = spec.x1.copy()
+        x[:, 1] *= 1e12
+        names = spec.names1[1:]
+        ds = Dataset(
+            y=y,
+            frame={name: list(map(repr, x[:, j + 1].tolist())) for j, name in enumerate(names)},
+            y_trunc=cfg.y_trunc,
+            recode_count=0,
+        )
+        formula = parse_formula(", ".join(names))
+        scaled, _ = make_model_spec(ds, formula, formula)
+        assert np.array_equal(scaled.x1, x) and np.array_equal(scaled.x2, x)
 
 
 class TestBaseLevelInvariance:

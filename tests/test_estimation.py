@@ -201,6 +201,21 @@ class TestAnalyticDerivatives:
         se_num = np.sqrt(np.diag(np.linalg.inv(-h_num)))
         assert np.allclose(fit.se, se_num, rtol=1e-4)
 
+    @pytest.mark.parametrize("fix_xi", [None, 0.2])
+    def test_covariance_matches_the_natural_scale_information(self, fix_xi):
+        # the fit takes the Newton pass's last Hessian back to the natural
+        # scale; assembling it there again gives the same matrix
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=43)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
+        assert fit.converged
+        _, _, hess = _score_hessian(
+            y, cfg.y_trunc, spec, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
+            fix_xi is None,
+        )
+        k = hess.shape[0]
+        assert np.allclose(fit.cov[:k, :k], np.linalg.inv(-hess), rtol=1e-10, atol=0.0)
+
     def test_score_vanishes_at_the_fit(self):
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=42)
         y, spec = simulate_dataset(cfg, 0)
@@ -320,6 +335,41 @@ class TestFitMle:
         y = np.where(np.arange(20) % 2 == 0, 1.5, 0.0)
         with pytest.raises(ValueError, match="rank deficient"):
             fit_mle(y, 0.0, spec)
+
+    def test_rank_deficiency_names_the_columns_of_either_part(self):
+        x = np.column_stack([np.ones(20), np.arange(20.0), np.zeros(20)])
+        y = np.where(np.arange(20) % 2 == 0, 1.5, 0.0)
+        message = "design is rank deficient; redundant columns: ['x2']"
+        for spec in (ModelSpec(x1=x, x2=x[:, :2]), ModelSpec(x1=x[:, :2], x2=x)):
+            with pytest.raises(ValueError) as info:
+                fit_mle(y, 0.0, spec)
+            assert str(info.value) == message
+
+    def test_column_in_large_units_passes_the_rank_check(self, monkeypatch):
+        # one iteration is enough to show the check let the design through
+        monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=7)
+        y, spec = simulate_dataset(cfg, 0)
+        x1 = spec.x1.copy()
+        x1[:, 1] *= 1e12
+        fit = fit_mle(y, cfg.y_trunc, ModelSpec(x1=x1, x2=spec.x2))
+        assert fit.iterations == 1
+
+    def test_near_separated_design_gets_no_fabricated_standard_errors(self):
+        # every b = 1 row is positive, so the pi coefficient of b runs off
+        # towards infinity along a flat likelihood
+        rng = np.random.default_rng(5)
+        n = 600
+        b = (rng.random(n) < 0.3).astype(float)
+        z = rng.normal(size=n)
+        x = np.column_stack([np.ones(n), b, z])
+        positive = (rng.random(n) < expit(-0.5 + 0.5 * z)) | (b == 1.0)
+        y = np.where(positive, rng.exponential(2.0, n), 0.0)
+        fit = fit_mle(y, 0.0, ModelSpec(x1=x, x2=x))
+        if fit.converged:
+            assert fit.se[1] > 10.0 * abs(fit.coef.beta1[1])
+        else:
+            assert np.all(np.isnan(fit.se))
 
     def test_deterministic_across_runs(self):
         cfg = reference_config(n=500, reps=1, xi=0.25, seed=13)

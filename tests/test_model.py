@@ -1,6 +1,7 @@
 """Mixture density, links and likelihood tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import expit
 from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
 from zitpo.model import (
+    _check_rank,
     _loglik_derivs,
     _loglik_terms,
     CoefVector,
@@ -373,6 +375,50 @@ class TestLoglikTerms:
         t, _, _ = _loglik_derivs(np.array([0.0, 1.5, 5.0]), np.full(3, 0.4), eta2, xi, y0)
         assert t[0] == 0.0
         assert not np.any(np.isfinite(t[1:]))
+
+
+def rank_message(*names):
+    return re.escape(f"design is rank deficient; redundant columns: {list(names)}")
+
+
+class TestCheckRank:
+    NAMES = ("intercept", "a", "c")
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9])
+    def test_collinear_column_is_named(self, noise):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=500)
+        x = np.column_stack([np.ones(500), a, 2.0 * a + noise * rng.normal(size=500)])
+        with pytest.raises(ValueError, match=rank_message("c")):
+            _check_rank(x, self.NAMES)
+
+    def test_zero_column_is_named(self):
+        x = np.column_stack([np.ones(50), np.zeros(50), np.arange(50.0)])
+        with pytest.raises(ValueError, match=rank_message("a")):
+            _check_rank(x, self.NAMES)
+
+    def test_fewer_rows_than_columns(self):
+        x = np.array([[1.0, 0.5, 2.0], [1.0, 1.5, -1.0]])
+        with pytest.raises(ValueError, match=rank_message("c")):
+            _check_rank(x, self.NAMES)
+
+    def test_column_whose_norm_overflows_is_named(self):
+        # its squared norm is inf: redundant, and no overflow warning escapes
+        x = np.column_stack([np.ones(4), [1e200, -1e200, 3e200, 1.0], np.arange(4.0)])
+        with pytest.raises(ValueError, match=rank_message("a")):
+            _check_rank(x, self.NAMES)
+
+    @pytest.mark.parametrize("scale", [1e12, 1e6, 1e-6])
+    def test_decision_does_not_depend_on_column_scale(self, scale):
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=7)
+        _, spec = simulate_dataset(cfg, 0)
+        x = spec.x1.copy()
+        x[:, 1] *= scale
+        _check_rank(x, spec.names1)
+        # a design with a redundant column names the same column at any scale
+        deficient = np.column_stack([x, x[:, 1] - 3.0 * x[:, 3]])
+        with pytest.raises(ValueError, match=rank_message("extra")):
+            _check_rank(deficient, spec.names1 + ("extra",))
 
 
 class TestTypes:
