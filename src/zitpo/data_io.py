@@ -332,8 +332,16 @@ def _build_design(
             names_b, cols_b = code(b)
             for ja, na in enumerate(names_a):
                 for jb, nb in enumerate(names_b):
+                    with np.errstate(over="ignore"):
+                        col = cols_a[:, ja] * cols_b[:, jb]
+                    finite = np.isfinite(col)
+                    if not finite.all():
+                        raise ValueError(
+                            f"interaction {term!r} overflows at row "
+                            f"{int(np.argmin(finite)) + 1}: rescale {a!r} or {b!r}"
+                        )
                     names.append(f"{na}:{nb}")
-                    blocks.append((cols_a[:, ja] * cols_b[:, jb]).reshape(-1, 1))
+                    blocks.append(col.reshape(-1, 1))
         else:
             term_names, cols = code(term)
             names.extend(term_names)

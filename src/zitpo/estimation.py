@@ -1,9 +1,12 @@
 """Maximum-likelihood fitting and Wald / likelihood-ratio inference.
 
-The likelihood is maximized by Newton's method with step halving. Each trial
-point costs one pass of :func:`zitpo.model._loglik_derivs` over the rows; the
-value, the analytic score and the Hessian are all summed from that pass. The
-shape parameter is optimized through the bijection ``xi = 1 - exp(-t)`` so
+The likelihood is maximized by Newton's method with step halving. The rows
+are split into zero and positive rows once per fit, since y is fixed. Each
+trial point then costs one kernel pass: the zero rows through
+:func:`zitpo.model._zero_row_derivs` and the positive rows through
+:func:`zitpo.model._pos_row_derivs`, each on its own rows; the value, the
+analytic score and the Hessian are all summed from that pass. The shape
+parameter is optimized through the bijection ``xi = 1 - exp(-t)`` so
 the ``xi < 1`` constraint never binds. The reported log-likelihood is a
 compensated sum at the optimum. Standard errors come from the observed
 information there: the negative of the Newton pass's last Hessian, taken back
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, expit, gammaincc, ndtri
@@ -27,8 +31,9 @@ from .model import (
     ModelSpec,
     _check_rank,
     _check_response,
-    _loglik_derivs,
     _loglik_terms,
+    _pos_row_derivs,
+    _zero_row_derivs,
 )
 
 __all__ = [
@@ -249,39 +254,77 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
     return x, g, H, gnorm < _GTOL, it, tuple(trace)
 
 
-def _score_hessian(y, y_trunc: float, spec: ModelSpec, b1, b2, xi: float, free_xi: bool):
+class _Rows(NamedTuple):
+    """A fit's rows split by kind: the zero rows' designs, and the positive
+    rows' responses and designs. Each design is stored transposed (p x n,
+    C order), the layout in which the blocked products run fastest."""
+
+    x1_zero: np.ndarray
+    x2_zero: np.ndarray
+    y_pos: np.ndarray
+    x1_pos: np.ndarray
+    x2_pos: np.ndarray
+
+
+def _split_rows(y: np.ndarray, spec: ModelSpec) -> _Rows:
+    """Partition y, X1 and X2 into zero and positive rows; the fitter does
+    this once, since y does not change during a fit."""
+    zero = y == 0.0
+    pos = ~zero
+    return _Rows(
+        np.ascontiguousarray(spec.x1.T[:, zero]),
+        np.ascontiguousarray(spec.x2.T[:, zero]),
+        y[pos],
+        np.ascontiguousarray(spec.x1.T[:, pos]),
+        np.ascontiguousarray(spec.x2.T[:, pos]),
+    )
+
+
+def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float, free_xi: bool):
     """Log-likelihood, analytic score and Hessian in (beta1, beta2, xi), the
     xi row and column only when ``free_xi``, from one kernel pass.
 
-    The per-row terms are summed, and their derivatives with respect to
+    Each row kind goes through its own kernel on its own rows. The per-row
+    terms are summed, and their derivatives with respect to
     (eta1, eta2, xi) are summed into ``X1'g1``, ``X2'g2`` and blocks
-    ``X'(w*X)``; no per-row matrix is formed. Rows go through in blocks of
-    ``_ROW_BLOCK``, so the kernel's temporaries take the same memory at any
-    n. The log-likelihood is -inf when it, the score or the Hessian is not
-    finite.
+    ``X'(w*X)``; no per-row matrix is formed. The eta1 cross blocks come
+    from the zero rows alone, since they are identically zero on positive
+    rows. Rows go through in blocks of ``_ROW_BLOCK``, so the kernels'
+    temporaries take the same memory at any n. The log-likelihood is -inf
+    when it, the score or the Hessian is not finite.
     """
-    x1, x2 = spec.x1, spec.x2
-    p1, p2 = x1.shape[1], x2.shape[1]
+    p1, p2 = rows.x1_zero.shape[0], rows.x2_zero.shape[0]
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
     k = p1 + p2 + int(free_xi)
     loglik = 0.0
     score = np.zeros(k)
     hess = np.zeros((k, k))
-    for lo in range(0, y.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        a1, a2 = x1[rows], x2[rows]
-        t, g, h = _loglik_derivs(y[rows], a1 @ b1, a2 @ b2, xi, y_trunc)
+
+    def add(a1, a2, t, g, h, coupled: bool):
+        nonlocal loglik
         loglik += float(np.sum(t))
-        score[s1] += a1.T @ g[0]
-        score[s2] += a2.T @ g[1]
-        hess[s1, s1] += a1.T @ (h[0][:, None] * a1)
-        hess[s1, s2] += a1.T @ (h[1][:, None] * a2)
-        hess[s2, s2] += a2.T @ (h[3][:, None] * a2)
+        score[s1] += a1 @ g[0]
+        score[s2] += a2 @ g[1]
+        hess[s1, s1] += (a1 * h[0]) @ a1.T
+        hess[s2, s2] += (a2 * h[3]) @ a2.T
+        if coupled:
+            hess[s1, s2] += (a1 * h[1]) @ a2.T
         if free_xi:
             score[-1] += np.sum(g[2])
-            hess[s1, -1] += a1.T @ h[2]
-            hess[s2, -1] += a2.T @ h[4]
+            hess[s2, -1] += a2 @ h[4]
             hess[-1, -1] += np.sum(h[5])
+            if coupled:
+                hess[s1, -1] += a1 @ h[2]
+
+    for lo in range(0, rows.x1_zero.shape[1], _ROW_BLOCK):
+        a1 = rows.x1_zero[:, lo : lo + _ROW_BLOCK]
+        a2 = rows.x2_zero[:, lo : lo + _ROW_BLOCK]
+        add(a1, a2, *_zero_row_derivs(b1 @ a1, b2 @ a2, xi, y_trunc), coupled=True)
+    for lo in range(0, rows.y_pos.size, _ROW_BLOCK):
+        a1 = rows.x1_pos[:, lo : lo + _ROW_BLOCK]
+        a2 = rows.x2_pos[:, lo : lo + _ROW_BLOCK]
+        y = rows.y_pos[lo : lo + _ROW_BLOCK]
+        add(a1, a2, *_pos_row_derivs(y, b1 @ a1, b2 @ a2, xi), coupled=False)
     hess[s2, s1] = hess[s1, s2].T
     if free_xi:
         hess[-1, :-1] = hess[:-1, -1]
@@ -370,12 +413,14 @@ def fit_mle(
         xi = 1.0 - math.exp(-t) if t > -700.0 else -math.inf
         return b1, b2, xi
 
+    rows = _split_rows(y, spec)
+
     def evaluate(theta: np.ndarray):
         # Chain rule for xi = 1 - exp(-t): dxi/dt = 1 - xi, d2xi/dt2 = -(1 - xi)
         b1, b2, xi = unpack(theta)
         if not np.isfinite(xi) or xi >= 1.0:
             return -math.inf, None, None
-        loglik, score, hess = _score_hessian(y, y_trunc, spec, b1, b2, xi, fix_xi is None)
+        loglik, score, hess = _score_hessian(rows, y_trunc, b1, b2, xi, fix_xi is None)
         if fix_xi is None:
             d = 1.0 - xi
             hess[-1, -1] = hess[-1, -1] * d * d - score[-1] * d

@@ -301,94 +301,163 @@ def _loglik_terms(y: np.ndarray, pi, mu, xi: float, y_trunc: float) -> np.ndarra
     return terms
 
 
-# Below |x| = |xi * y / sigma| of this size the closed forms of phi' and phi''
+# Below |x| = |xi * w| of this size the closed forms of phi' and phi''
 # cancel (relative error ~eps/x^2); the ten-term series there is exact to
 # rounding, and at x = 0 it is the exponential branch's limit.
 _SERIES_X = 1e-2
 _SERIES_TERMS = 10
 _J = np.arange(_SERIES_TERMS)
 _SIGN = (-1.0) ** _J
-_PHI_COEF = _SIGN / (_J + 1.0)
-_DPHI_COEF = -_SIGN * (_J + 1.0) / (_J + 2.0)
-_D2PHI_COEF = _SIGN * (_J + 2.0) * (_J + 1.0) / (_J + 3.0)
+# Power-series coefficients of (phi, phi', phi''), one column each (10 x 3).
+_SERIES_COEF = np.column_stack([
+    _SIGN / (_J + 1.0),
+    -_SIGN * (_J + 1.0) / (_J + 2.0),
+    _SIGN * (_J + 2.0) * (_J + 1.0) / (_J + 3.0),
+])
 
 
-def _phi_derivs(x):
-    """phi(x) = log1p(x)/x and its first two derivatives, continuous at 0."""
-    polyval = np.polynomial.polynomial.polyval
+def _phi_series(x):
+    """(phi, phi', phi'') near 0, shape (3, n): the Vandermonde matrix of x,
+    built transposed (one row per power), times the coefficient matrix."""
+    powers = np.empty((_SERIES_TERMS, x.size))
+    powers[0] = 1.0
+    for j in range(1, _SERIES_TERMS):
+        np.multiply(powers[j - 1], x, out=powers[j])
+    return _SERIES_COEF.T @ powers
+
+
+def _phi_closed(x):
+    """(phi, phi', phi'') from log1p, for |x| >= _SERIES_X."""
+    lg = np.log1p(x)
+    num = x / (1.0 + x) - lg
+    return lg / x, num / x**2, -1.0 / (x * (1.0 + x) ** 2) - 2.0 * num / x**3
+
+
+def _m_derivs(w, xi: float, c: float):
+    """M = log(1 + xi*w)/xi = w*phi(xi*w) with its derivatives in
+    (eta2 = log mu, xi), where w = v/sigma for the row's value v (y, or
+    y_trunc on a zero row) and sigma = mu/c, c = 1/(1 - xi).
+
+    Returns ``(x, m, m2, mx, m22, m2x, mxx)`` with x = xi*w. phi = log1p(x)/x
+    and its first two derivatives come from the series on the rows with
+    |x| < ``_SERIES_X`` and from the closed forms on the others, each form
+    evaluated only on its own rows, so M stays finite as xi -> 0, where it
+    meets the exponential branch (M = y/mu at xi = 0).
+    """
+    x = xi * w
+    phi = np.empty((3, x.size))
     small = np.abs(x) < _SERIES_X
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.log1p(x)
-        num = x / (1.0 + x) - lg
-        phi = np.where(small, polyval(x, _PHI_COEF), lg / x)
-        d1 = np.where(small, polyval(x, _DPHI_COEF), num / x**2)
-        d2 = np.where(
-            small,
-            polyval(x, _D2PHI_COEF),
-            -1.0 / (x * (1.0 + x) ** 2) - 2.0 * num / x**3,
-        )
-    return phi, d1, d2
+    for rows, form in ((small, _phi_series), (~small, _phi_closed)):
+        k = np.count_nonzero(rows)
+        if k == x.size:
+            phi[:] = form(x)
+        elif k:
+            # row by row of phi: a masked store into a 1-d view is the fast one
+            for out, part in zip(phi, form(x[rows])):
+                out[rows] = part
+    b = 1.0 / (1.0 + x)
+    wb = w * b
+    cwb = c * wb
+    ww = w * w
+    m = w * phi[0]
+    mx = ww * phi[1] + cwb
+    m22 = wb * b
+    m2x = cwb * (wb - 1.0)
+    # w^3 phi'' - (2c + xi c^2) (wb)^2 + 2c^2 wb
+    mxx = ww * w * phi[2] + cwb * (2.0 * c - (2.0 + xi * c) * wb)
+    return x, m, -wb, mx, m22, m2x, mxx
+
+
+def _expit_pair(eta1):
+    """(pi, 1 - pi) for pi = expit(eta1), each without cancellation; the
+    same expression as scipy's expit, with numpy's faster exp."""
+    return 1.0 / (1.0 + np.exp(-eta1)), 1.0 / (1.0 + np.exp(eta1))
+
+
+# Per-kind kernels. Each returns ``(t, g, h)`` for its rows: ``t`` of shape
+# (n,) holds the log-likelihood terms of :func:`_loglik_terms`, ``g`` of shape
+# (3, n) their first derivatives in (eta1 = logit pi, eta2 = log mu, xi), and
+# ``h`` of shape (6, n) the unique second derivatives in the order
+# (11, 12, 1xi, 22, 2xi, xixi).
+
+
+def _zero_row_derivs(eta1, eta2, xi: float, y_trunc: float):
+    """Zero rows: log(1 - pi*S) with S = exp(-M) at w0 = y_trunc/sigma.
+
+    All three parameters couple. A row whose threshold lies beyond a
+    ``xi < 0`` support end has no mass above it: its term is log(1) = 0 and
+    all its derivatives are zero.
+    """
+    c = 1.0 / (1.0 - xi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pi, qi = _expit_pair(eta1)
+        w = y_trunc * np.exp(-eta2) * c
+        x, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
+        neg_m = -m
+        surv = np.exp(neg_m)
+        one_minus_q = qi - pi * np.expm1(neg_m)
+        beyond = x <= -1.0
+        if beyond.any():
+            surv[beyond] = 0.0
+            one_minus_q[beyond] = 1.0
+            for arr in (m2, mx, m22, m2x, mxx):
+                arr[beyond] = 0.0
+        # q = pi*S, r = q / (1 - q)
+        r = pi * surv / one_minus_q
+        rr = r * (1.0 + r)
+        rrq = rr * qi
+        t = np.log(one_minus_q)
+        g0 = -r * qi
+        g = np.stack([g0, r * m2, r * mx])
+        h = np.stack([
+            g0 * ((1.0 + r) * qi - pi),
+            rrq * m2,
+            rrq * mx,
+            r * m22 - rr * m2 * m2,
+            r * m2x - rr * m2 * mx,
+            r * mxx - rr * mx * mx,
+        ])
+    return t, g, h
+
+
+def _pos_row_derivs(y, eta1, eta2, xi: float):
+    """Positive rows: log pi - log sigma - (1 + xi)*M at w = y/sigma.
+
+    These rows depend on eta1 only through log pi, so their eta1 cross
+    derivatives h[1] and h[2] are identically zero. A row beyond a ``xi < 0``
+    support end has a term that is not finite.
+    """
+    c = 1.0 / (1.0 - xi)
+    one_xi = 1.0 + xi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pi, qi = _expit_pair(eta1)
+        w = y * np.exp(-eta2) * c
+        _, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
+        t = np.log(pi) - eta2 - np.log1p(-xi) - one_xi * m
+        g = np.stack([qi, -1.0 - one_xi * m2, c - m - one_xi * mx])
+        h = np.zeros((6, y.size))
+        h[0] = -pi * qi
+        h[3] = -one_xi * m22
+        h[4] = -m2 - one_xi * m2x
+        h[5] = c * c - 2.0 * mx - one_xi * mxx
+    return t, g, h
 
 
 def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
-    """Per-row log-likelihood terms of :func:`_loglik_terms` with their first
-    and second derivatives in (eta1 = logit pi, eta2 = log mu, xi).
+    """Both kernels' ``(t, g, h)`` on mixed rows, in row order.
 
-    Returns ``(t, g, h)``: ``t`` of shape (n,) holds the terms, ``g`` of
-    shape (3, n) the first derivatives in that order, ``h`` of shape (6, n)
-    the unique second derivatives in the order (11, 12, 1xi, 22, 2xi, xixi).
-    Positive rows depend on eta1 only through log pi, so their eta1 cross
-    terms are zero; zero rows couple all three. A zero row whose threshold
-    lies beyond a ``xi < 0`` support end has no mass above it: its term is
-    log(1) = 0 and all its derivatives are zero. A positive row beyond the
-    support end has a term that is not finite.
-
-    Both row kinds go through M = log(1 + xi*w)/xi with w = y/sigma,
-    sigma = mu*(1 - xi) (w0 = y_trunc/sigma on zero rows): the positive term
-    is log pi - log sigma - (1 + xi)*M and the zero term log(1 - pi*exp(-M)).
-    Writing M = w*phi(xi*w) keeps every term finite as xi -> 0, where it
-    meets the exponential branch (M = y/mu at xi = 0).
+    The fitter splits its rows by kind once and calls the two kernels
+    directly; this gathers and scatters for one call over any rows.
     """
     eta1 = np.asarray(eta1, dtype=float)
     eta2 = np.asarray(eta2, dtype=float)
     zero = y == 0.0
-    pi = expit(eta1)
-    qi = expit(-eta1)  # 1 - pi without cancellation
-    c = 1.0 / (1.0 - xi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.where(zero, y_trunc, y) * np.exp(-eta2) * c
-        x = xi * w
-        b = 1.0 / (1.0 + x)
-        phi, d1, d2 = _phi_derivs(x)
-        m = w * phi
-        m2 = -w * b
-        mx = w * w * d1 + c * w * b
-        m22 = w * b * b
-        m2x = c * w * b * (w * b - 1.0)
-        mxx = w**3 * d2 - 2.0 * c * (w * b) ** 2 - xi * (c * w * b) ** 2 + 2.0 * c * c * w * b
-
-        # zero rows: l = log(1 - q), q = pi*S, S = exp(-M); r = q / (1 - q)
-        beyond = zero & (x <= -1.0)
-        surv = np.where(beyond, 0.0, np.exp(-m))
-        one_minus_q = np.where(beyond, 1.0, qi - pi * np.expm1(-m))
-        r = pi * surv / one_minus_q
-        rr = r * (1.0 + r)
-        for arr in (m2, mx, m22, m2x, mxx):
-            arr[beyond] = 0.0
-
-        one_xi = 1.0 + xi
-        t = np.where(zero, np.log(one_minus_q), np.log(pi) - eta2 - np.log1p(-xi) - one_xi * m)
-        g = np.empty((3, y.size))
-        h = np.empty((6, y.size))
-        g[0] = np.where(zero, -r * qi, qi)
-        g[1] = np.where(zero, r * m2, -1.0 - one_xi * m2)
-        g[2] = np.where(zero, r * mx, c - m - one_xi * mx)
-        h[0] = np.where(zero, -r * qi * ((1.0 + r) * qi - pi), -pi * qi)
-        h[1] = np.where(zero, rr * qi * m2, 0.0)
-        h[2] = np.where(zero, rr * qi * mx, 0.0)
-        h[3] = np.where(zero, r * m22 - rr * m2 * m2, -one_xi * m22)
-        h[4] = np.where(zero, r * m2x - rr * m2 * mx, -m2 - one_xi * m2x)
-        h[5] = np.where(zero, r * mxx - rr * mx * mx, c * c - 2.0 * mx - one_xi * mxx)
+    pos = ~zero
+    t = np.empty(y.size)
+    g = np.empty((3, y.size))
+    h = np.empty((6, y.size))
+    t[zero], g[:, zero], h[:, zero] = _zero_row_derivs(eta1[zero], eta2[zero], xi, y_trunc)
+    t[pos], g[:, pos], h[:, pos] = _pos_row_derivs(y[pos], eta1[pos], eta2[pos], xi)
     return t, g, h
 
 
@@ -399,30 +468,52 @@ _RANK_RTOL = 1e-12
 
 
 def _check_rank(x: np.ndarray, names) -> None:
-    """Raise, naming the redundant columns, unless ``x`` has full column rank.
+    """Raise, naming the offending columns, unless ``x`` has full column rank.
 
     Rank is decided on X'X scaled to unit diagonal, so the decision does not
-    depend on column units. Walking the columns in order, a column is kept
-    when the scaled Gram block of the kept columns and it has its smallest
-    eigenvalue above ``_RANK_RTOL`` times its largest. A column of zero or
-    non-finite norm is redundant.
+    depend on column units. A column whose sum of squares overflows is
+    rejected as too large in magnitude. Otherwise one eigenvalue call on the
+    whole scaled Gram decides: full rank when its smallest eigenvalue is
+    above ``_RANK_RTOL`` times its largest. By Cauchy interlacing every
+    principal block then passes too, so this is the decision of the column
+    walk of :func:`_redundant_columns`, which runs only on failure, to name
+    the redundant columns.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = x.T @ x
     norm = np.sqrt(np.diag(gram))
+    huge = np.flatnonzero(norm == math.inf)
+    if huge.size:
+        raise ValueError(
+            f"column {names[huge[0]]!r} is too large in magnitude (its sum of "
+            "squares overflows); rescale it"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = gram / norm[:, None] / norm
+    if np.all(norm > 0.0) and _well_conditioned(scaled):
+        return
+    offenders = _redundant_columns(scaled, norm, names)
+    raise ValueError(f"design is rank deficient; redundant columns: {offenders}")
+
+
+def _well_conditioned(scaled: np.ndarray) -> bool:
+    lam = np.linalg.eigvalsh(scaled)
+    return bool(lam[0] > _RANK_RTOL * lam[-1])
+
+
+def _redundant_columns(scaled: np.ndarray, norm: np.ndarray, names) -> list:
+    """Walk the columns in order, keeping a column when the scaled Gram
+    block of the kept columns and it is well conditioned; a column of zero
+    or non-finite norm is redundant. Returns the names not kept."""
     kept: list[int] = []
     offenders = []
     for j, name in enumerate(names):
         block = kept + [j]
-        if 0.0 < norm[j] < math.inf:
-            scaled = gram[np.ix_(block, block)] / norm[block][:, None] / norm[block]
-            lam = np.linalg.eigvalsh(scaled)
-            if lam[0] > _RANK_RTOL * lam[-1]:
-                kept.append(j)
-                continue
-        offenders.append(name)
-    if offenders:
-        raise ValueError(f"design is rank deficient; redundant columns: {offenders}")
+        if 0.0 < norm[j] < math.inf and _well_conditioned(scaled[np.ix_(block, block)]):
+            kept.append(j)
+        else:
+            offenders.append(name)
+    return offenders
 
 
 def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:

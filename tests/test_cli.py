@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,36 @@ class TestFit:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: cannot use {cell!r} at row 2, column 'a'" in err
+
+    @pytest.mark.parametrize(
+        "text, pi_formula, message",
+        [
+            (
+                "y,a\n1.5,0.2\n0,1e200\n2.5,0.7\n0,1.1\n3.0,0.5\n",
+                "a",
+                "error: column 'a' is too large in magnitude (its sum of squares "
+                "overflows); rescale it",
+            ),
+            (
+                "y,a,b\n1.5,0.2,1.0\n0,1e200,1e200\n2.5,0.7,2.0\n0,1.1,3.0\n3.0,0.5,1.0\n",
+                "a, b, a:b",
+                "error: interaction 'a:b' overflows at row 2: rescale 'a' or 'b'",
+            ),
+        ],
+        ids=["square", "interaction"],
+    )
+    def test_overflowing_covariate_is_named(self, tmp_path, capsys, text, pi_formula, message):
+        # finite cells whose square or product overflows: named, and no warning
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "fit", "--data", str(path), "--response", "y", "--trunc", "0",
+                "--pi-formula", pi_formula,
+            ])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_init_file_is_used(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv

@@ -16,6 +16,7 @@ from zitpo.estimation import (
     FitResult,
     _newton_direction,
     _score_hessian,
+    _split_rows,
     chi2_sf,
     confidence_interval,
     fit_mle,
@@ -161,7 +162,7 @@ class TestAnalyticDerivatives:
             v = np.concatenate([coef.beta1, coef.beta2, [xi]])
             f = natural_loglik(y, y_trunc, spec)
             _, score, hess = _score_hessian(
-                y, y_trunc, spec, coef.beta1, coef.beta2, xi, True
+                _split_rows(y, spec), y_trunc, coef.beta1, coef.beta2, xi, True
             )
             g_num = numeric_gradient(f, v)
             assert np.max(np.abs(score - g_num)) <= 1e-6 * np.max(np.abs(score))
@@ -172,21 +173,42 @@ class TestAnalyticDerivatives:
     def test_pass_value_is_the_log_likelihood(self, xi):
         # more rows than one block of the assembly, so every block is summed
         y, spec, coef = random_problem(xi, 0.125, 8, n=2 * estimation._ROW_BLOCK + 7)
-        loglik, _, _ = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, True)
+        loglik, _, _ = _score_hessian(
+            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi, True
+        )
         ref = log_likelihood(y, 0.125, spec, coef)
         assert loglik == pytest.approx(ref, rel=1e-12)
         # a positive y past a xi < 0 support end makes the point infeasible
         y_out = y.copy()
         y_out[np.argmax(y)] = 1e6
-        out, _, _ = _score_hessian(y_out, 0.125, spec, coef.beta1, coef.beta2, -0.3, True)
+        out, _, _ = _score_hessian(
+            _split_rows(y_out, spec), 0.125, coef.beta1, coef.beta2, -0.3, True
+        )
         assert out == -math.inf
+
+    def test_fewer_zero_rows_than_one_block(self):
+        # one partial block of zero rows beside three blocks of positive rows
+        n = 2 * estimation._ROW_BLOCK + 7
+        y, spec, coef = random_problem(0.25, 0.125, 9, n=n)
+        zero = np.flatnonzero(y == 0.0)
+        y[zero[40:]] = 0.125 + np.random.default_rng(9).exponential(2.0, zero.size - 40)
+        rows = _split_rows(y, spec)
+        assert rows.x1_zero.shape[1] == 40 < estimation._ROW_BLOCK < rows.y_pos.size
+        v = np.concatenate([coef.beta1, coef.beta2, [0.25]])
+        f = natural_loglik(y, 0.125, spec)
+        loglik, score, hess = _score_hessian(rows, 0.125, coef.beta1, coef.beta2, 0.25, True)
+        assert loglik == pytest.approx(f(v), rel=1e-12)
+        assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
+        assert np.max(np.abs(hess - numeric_hessian(f, v))) <= 1e-4 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("xi", [0.0, 0.25])
     def test_fixed_shape_mode(self, xi):
         y, spec, coef = random_problem(xi, 0.125, 5)
         v = np.concatenate([coef.beta1, coef.beta2])
         f = natural_loglik(y, 0.125, spec, fixed_xi=xi)
-        _, score, hess = _score_hessian(y, 0.125, spec, coef.beta1, coef.beta2, xi, False)
+        _, score, hess = _score_hessian(
+            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi, False
+        )
         assert score.shape == (5,) and hess.shape == (5, 5)
         assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
         h_num = numeric_hessian(f, v)
@@ -210,7 +232,7 @@ class TestAnalyticDerivatives:
         fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
         assert fit.converged
         _, _, hess = _score_hessian(
-            y, cfg.y_trunc, spec, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
+            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
             fix_xi is None,
         )
         k = hess.shape[0]
@@ -221,7 +243,7 @@ class TestAnalyticDerivatives:
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec)
         _, score, _ = _score_hessian(
-            y, cfg.y_trunc, spec, fit.coef.beta1, fit.coef.beta2, fit.coef.xi, True
+            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi, True
         )
         # natural-scale score; the stopping rule is on (1 - xi) times its last entry
         score[-1] *= 1.0 - fit.coef.xi
@@ -247,9 +269,11 @@ class TestNewton:
         assert len(calls) <= 40
 
     def test_one_kernel_pass_per_trial_point(self, monkeypatch):
-        # value, score and Hessian share a pass; the compensated sum runs once
-        calls = {"terms": 0, "passes": 0}
+        # value, score and Hessian share a pass; the compensated sum runs
+        # once, and so does the zero/positive row split
+        calls = {"terms": 0, "passes": 0, "splits": 0}
         real_terms, real_pass = estimation._loglik_terms, estimation._score_hessian
+        real_split = estimation._split_rows
 
         def counted_terms(*args, **kwargs):
             calls["terms"] += 1
@@ -259,14 +283,20 @@ class TestNewton:
             calls["passes"] += 1
             return real_pass(*args, **kwargs)
 
+        def counted_split(*args, **kwargs):
+            calls["splits"] += 1
+            return real_split(*args, **kwargs)
+
         monkeypatch.setattr(estimation, "_loglik_terms", counted_terms)
         monkeypatch.setattr(estimation, "_score_hessian", counted_pass)
+        monkeypatch.setattr(estimation, "_split_rows", counted_split)
         cfg = reference_config(n=2000, reps=1, xi=0.25, seed=21)
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec)
         assert fit.converged
         assert calls["terms"] == 1
         assert calls["passes"] <= 20
+        assert calls["splits"] == 1
 
     def test_indefinite_information_still_gives_an_ascent_step(self):
         hess = np.diag([-4.0, 1.0, -1e-12])

@@ -11,9 +11,13 @@ from scipy.special import expit
 from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
 from zitpo.model import (
+    _SERIES_X,
     _check_rank,
     _loglik_derivs,
     _loglik_terms,
+    _pos_row_derivs,
+    _redundant_columns,
+    _zero_row_derivs,
     CoefVector,
     ModelSpec,
     ZitpoParams,
@@ -348,6 +352,103 @@ class TestLoglikDerivs:
         assert np.all(g == 0.0) and np.all(h == 0.0)
 
 
+def kernel_rows(kind, x, xi, y_trunc=0.125, seed=0):
+    """One kind's kernel on rows placed at x_i = xi*w_i (any w when xi = 0).
+
+    Returns ``(evaluate, y, eta1, eta2)``: ``evaluate(sel)`` runs the kernel
+    on the rows ``sel`` selects, and ``y`` is 0 on zero rows.
+    """
+    rng = np.random.default_rng(seed)
+    n = x.size
+    c = 1.0 / (1.0 - xi)
+    w = x / xi if xi != 0.0 else rng.uniform(0.05, 3.0, n)
+    eta1 = rng.normal(0.0, 1.5, n)
+    if kind == "zero":
+        eta2 = np.log(y_trunc * c / w) if y_trunc > 0.0 else rng.normal(0.3, 1.0, n)
+        y = np.zeros(n)
+        return (lambda sel: _zero_row_derivs(eta1[sel], eta2[sel], xi, y_trunc)), y, eta1, eta2
+    eta2 = rng.normal(0.3, 1.0, n)
+    y = w * np.exp(eta2) / c
+    return (lambda sel: _pos_row_derivs(y[sel], eta1[sel], eta2[sel], xi)), y, eta1, eta2
+
+
+def rows_alone(evaluate, n):
+    """The kernel's (t, g, h) with every row evaluated on its own."""
+    outs = [evaluate(slice(i, i + 1)) for i in range(n)]
+    return (
+        np.concatenate([o[0] for o in outs]),
+        np.hstack([o[1] for o in outs]),
+        np.hstack([o[2] for o in outs]),
+    )
+
+
+# |x| = |xi*w| on both sides of the series threshold, on one side only, and
+# all below it; shuffled so series and closed-form rows interleave
+X_SETS = {
+    "mixed": np.geomspace(1e-4, 2.0, 41),
+    "no small rows": np.geomspace(2e-2, 2.0, 23),
+    "all small": np.geomspace(1e-6, 9e-3, 23),
+}
+
+
+class TestRowKindKernels:
+    @pytest.mark.parametrize("kind", ["zero", "pos"])
+    @pytest.mark.parametrize("xs", list(X_SETS))
+    @pytest.mark.parametrize("xi", [-0.3, 0.25])
+    def test_block_matches_rows_alone(self, kind, xs, xi):
+        # guards the gather of each form's rows and the scatter back
+        x = np.random.default_rng(5).permutation(X_SETS[xs])
+        if xi < 0.0:
+            x = -np.minimum(x, 0.9)  # inside the support end x > -1
+        evaluate, y, eta1, eta2 = kernel_rows(kind, x, xi)
+        w = (y if kind == "pos" else 0.125) * np.exp(-eta2) / (1.0 - xi)
+        n_small = np.count_nonzero(np.abs(xi * w) < _SERIES_X)
+        if xs == "mixed":
+            assert 0 < n_small < x.size
+        else:
+            assert n_small == (x.size if xs == "all small" else 0)
+        block = evaluate(slice(None))
+        for got, ref in zip(block, rows_alone(evaluate, x.size)):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        ref = _loglik_terms(y, expit(eta1), np.exp(eta2), xi, 0.125)
+        assert np.all(np.abs(block[0] - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+        assert all(np.all(np.isfinite(a)) for a in block)
+
+    @pytest.mark.parametrize("kind", ["zero", "pos"])
+    def test_exponential_shape_runs_the_series_on_every_row(self, kind):
+        # xi = 0 puts every row at x = 0: positive rows are log pi - eta2 - y/mu,
+        # zero rows log(1 - pi*exp(-y0/mu))
+        evaluate, y, eta1, eta2 = kernel_rows(kind, np.zeros(17), 0.0, seed=3)
+        t, g, h = evaluate(slice(None))
+        mu = np.exp(eta2)
+        if kind == "pos":
+            np.testing.assert_allclose(t, np.log(expit(eta1)) - eta2 - y / mu, rtol=1e-14)
+            np.testing.assert_allclose(g[1], -1.0 + y / mu, rtol=1e-14)
+            np.testing.assert_allclose(h[3], -y / mu, rtol=1e-14)
+        else:
+            np.testing.assert_allclose(
+                t, np.log1p(-expit(eta1) * np.exp(-0.125 / mu)), rtol=1e-13
+            )
+        for got, ref in zip((t, g, h), rows_alone(evaluate, 17)):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_zero_rows_without_threshold(self):
+        # y_trunc = 0 gives w0 = 0 on every zero row: the term is log(1 - pi)
+        # and nothing but eta1 moves it
+        evaluate, _, eta1, _ = kernel_rows("zero", np.zeros(19), 0.25, y_trunc=0.0)
+        t, g, h = evaluate(slice(None))
+        pi = expit(eta1)
+        np.testing.assert_allclose(t, np.log1p(-pi), rtol=1e-13)
+        np.testing.assert_allclose(g[0], -pi, rtol=1e-14)
+        np.testing.assert_allclose(h[0], -pi * (1.0 - pi), rtol=1e-13)
+        assert np.all(g[1:] == 0.0) and np.all(h[1:] == 0.0)
+
+    def test_positive_rows_have_no_eta1_cross_terms(self):
+        evaluate, _, _, _ = kernel_rows("pos", X_SETS["mixed"], 0.25)
+        _, _, h = evaluate(slice(None))
+        assert np.all(h[1] == 0.0) and np.all(h[2] == 0.0)
+
+
 class TestLoglikTerms:
     # (0, XI_TOL) is left out: there _loglik_terms takes the exponential branch
     @pytest.mark.parametrize("xi", [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7])
@@ -403,10 +504,39 @@ class TestCheckRank:
             _check_rank(x, self.NAMES)
 
     def test_column_whose_norm_overflows_is_named(self):
-        # its squared norm is inf: redundant, and no overflow warning escapes
+        # its squared norm is inf: too large, and no overflow warning escapes
         x = np.column_stack([np.ones(4), [1e200, -1e200, 3e200, 1.0], np.arange(4.0)])
-        with pytest.raises(ValueError, match=rank_message("a")):
+        with pytest.raises(ValueError, match="column 'a' is too large in magnitude.*rescale it"):
             _check_rank(x, self.NAMES)
+
+    def test_one_eigenvalue_call_decides_as_the_walk(self):
+        # random designs, some with a planted (near-)collinear or zero column:
+        # the check passes exactly when the column walk alone names nothing,
+        # and otherwise names the columns the walk names
+        rng = np.random.default_rng(29)
+        outcomes = []
+        for trial in range(300):
+            n, p = int(rng.integers(3, 30)), int(rng.integers(2, 7))
+            scales = 10.0 ** rng.integers(-6, 7, p - 1)
+            x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1)) * scales])
+            if trial % 3 == 1:
+                j = int(rng.integers(1, p))
+                mix = rng.normal(size=p) * (np.arange(p) != j)
+                x[:, j] = x @ mix + rng.choice([0.0, 1e-10]) * rng.normal(size=n)
+            elif trial % 3 == 2:
+                x[:, int(rng.integers(1, p))] = 0.0
+            names = tuple(f"c{j}" for j in range(p))
+            gram = x.T @ x
+            norm = np.sqrt(np.diag(gram))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                walk = _redundant_columns(gram / norm[:, None] / norm, norm, names)
+            if walk:
+                with pytest.raises(ValueError, match=rank_message(*walk)):
+                    _check_rank(x, names)
+            else:
+                _check_rank(x, names)
+            outcomes.append(bool(walk))
+        assert 50 < sum(outcomes) < 250
 
     @pytest.mark.parametrize("scale", [1e12, 1e6, 1e-6])
     def test_decision_does_not_depend_on_column_scale(self, scale):
