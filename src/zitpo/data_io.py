@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import ModelSpec, _check_rank
+from .model import ModelSpec, _check_rank, _check_threshold
 
 __all__ = [
     "Dataset",
@@ -102,8 +102,7 @@ def read_csv(
     Rows are read in chunks of ``_CHUNK_ROWS`` and transposed into columns,
     so no list of row lists outlives its chunk.
     """
-    if y_trunc < 0.0:
-        raise ValueError(f"truncation threshold must be nonnegative, got {y_trunc}")
+    _check_threshold(y_trunc)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -5,12 +5,12 @@ are split into zero and positive rows once per fit, since y is fixed. Each
 trial point then costs one kernel pass: the zero rows through
 :func:`zitpo.model._zero_row_derivs` and the positive rows through
 :func:`zitpo.model._pos_row_derivs`, each on its own rows; the value, the
-analytic score and the Hessian are all summed from that pass. The shape
-parameter is optimized through the bijection ``xi = 1 - exp(-t)`` so
-the ``xi < 1`` constraint never binds. The reported log-likelihood is a
-compensated sum at the optimum. Standard errors come from the observed
-information there: the negative of the Newton pass's last Hessian, taken back
-to the natural scale of xi.
+analytic score and the Hessian are all summed from that pass. Newton runs on
+(beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
+halved like any other, and convergence is judged on the natural-scale score.
+The reported log-likelihood is a compensated sum at the optimum. Standard
+errors come from the observed information there: the negative of the Newton
+pass's last Hessian.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
@@ -222,8 +222,8 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
     rounding of a long sum), when it lowers the gradient max-norm.
     Convergence means gradient max-norm < _GTOL.
 
-    Returns (x, gradient, Hessian, converged, iterations, trace), the
-    derivatives at the returned x; raises ValueError when x0 is not feasible.
+    Returns (x, Hessian, converged, iterations, trace), the Hessian at the
+    returned x; raises ValueError when x0 is not feasible.
     """
     x = np.asarray(x0, dtype=float)
     fx, g, H = evaluate(x)
@@ -251,7 +251,7 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
         x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
         if keep_trace:
             trace.append((it, fx, gnorm))
-    return x, g, H, gnorm < _GTOL, it, tuple(trace)
+    return x, H, gnorm < _GTOL, it, tuple(trace)
 
 
 class _Rows(NamedTuple):
@@ -376,11 +376,13 @@ def fit_mle(
         Record (iteration, loglik, gradient-norm) triples, one per Newton
         iteration.
 
-    One Newton pass runs from the start, so the fit is deterministic given
-    (data, init, fix_xi). If it stops short of convergence (``_MAX_ITER``
-    iterations, or no halved step accepted), or the information at the
-    optimum is not positive definite, the result has ``converged=False``
-    and NaN standard errors.
+    One Newton pass on (beta1, beta2, xi) runs from the start, so the fit
+    is deterministic given (data, init, fix_xi); it converges when the
+    max-norm of the score in those coordinates falls below ``_GTOL``. If it
+    stops short of that (``_MAX_ITER`` iterations, or no halved step
+    accepted; a shape running to the xi -> 1 edge ends this way), or the
+    information at the optimum is not positive definite, the result has
+    ``converged=False`` and NaN standard errors.
     """
     y = _check_response(y, y_trunc, spec)
     n_pos = int(np.sum(y > 0.0))
@@ -404,36 +406,21 @@ def fit_mle(
         raise ValueError("starting coefficients do not match the design dimensions")
 
     def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        b1 = theta[:p1]
-        b2 = theta[p1 : p1 + p2]
-        if fix_xi is not None:
-            return b1, b2, fix_xi
-        t = theta[p1 + p2]
-        # exp would overflow below -700; such probes are rejected anyway
-        xi = 1.0 - math.exp(-t) if t > -700.0 else -math.inf
-        return b1, b2, xi
+        xi = fix_xi if fix_xi is not None else float(theta[p1 + p2])
+        return theta[:p1], theta[p1 : p1 + p2], xi
 
     rows = _split_rows(y, spec)
 
     def evaluate(theta: np.ndarray):
-        # Chain rule for xi = 1 - exp(-t): dxi/dt = 1 - xi, d2xi/dt2 = -(1 - xi)
         b1, b2, xi = unpack(theta)
-        if not np.isfinite(xi) or xi >= 1.0:
+        if xi >= 1.0:
             return -math.inf, None, None
-        loglik, score, hess = _score_hessian(rows, y_trunc, b1, b2, xi, fix_xi is None)
-        if fix_xi is None:
-            d = 1.0 - xi
-            hess[-1, -1] = hess[-1, -1] * d * d - score[-1] * d
-            hess[-1, :-1] *= d
-            hess[:-1, -1] *= d
-            score[-1] *= d
-        return loglik, score, hess
+        return _score_hessian(rows, y_trunc, b1, b2, xi, fix_xi is None)
 
     theta0 = np.concatenate([init.beta1, init.beta2])
     if fix_xi is None:
-        xi0 = min(init.xi, 1.0 - 1e-12)
-        theta0 = np.append(theta0, -math.log1p(-xi0))
-    xhat, grad, hess, converged, iterations, trace = _maximize_newton(
+        theta0 = np.append(theta0, init.xi)
+    xhat, hess, converged, iterations, trace = _maximize_newton(
         evaluate, theta0, keep_trace
     )
     b1, b2, xi = unpack(xhat)
@@ -448,12 +435,6 @@ def fit_mle(
     cov = np.full((k, k), np.nan)
     se = np.full(k, np.nan)
     if converged:
-        if fix_xi is None:
-            # undo evaluate's chain rule on the xi row and column
-            d = 1.0 - xi
-            hess[-1, -1] = (hess[-1, -1] + grad[-1]) / (d * d)
-            hess[-1, :-1] /= d
-            hess[:-1, -1] /= d
         cov_free, ok = _covariance(-hess)
         if ok:
             cov = np.zeros((k, k))

@@ -516,9 +516,17 @@ def _redundant_columns(scaled: np.ndarray, norm: np.ndarray, names) -> list:
     return offenders
 
 
+def _check_threshold(y_trunc: float) -> None:
+    """Raise unless the recording threshold is finite and nonnegative."""
+    if not (math.isfinite(y_trunc) and y_trunc >= 0.0):
+        raise ValueError(f"truncation threshold must be finite and nonnegative, got {y_trunc}")
+
+
 def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:
     """The response as a float array, checked against the design length and
-    for rows that are neither 0 nor above ``y_trunc`` (the first is named)."""
+    for rows that are neither 0 nor above ``y_trunc`` (the first is named);
+    ``y_trunc`` itself must be finite and nonnegative."""
+    _check_threshold(y_trunc)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != spec.n:
         raise ValueError(f"response length {y.shape} does not match design n={spec.n}")

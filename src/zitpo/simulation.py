@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimation import confidence_interval, fit_mle
 from .gpd import XI_TOL
-from .model import CoefVector, ModelSpec, predict
+from .model import CoefVector, ModelSpec, _check_threshold, predict
 
 __all__ = [
     "SimConfig",
@@ -95,6 +95,7 @@ class SimConfig:
             raise ValueError("n and reps must be at least 1")
         if self.xi >= 1.0:
             raise ValueError(f"xi must be < 1, got {self.xi}")
+        _check_threshold(self.y_trunc)
         if len(self.beta1) != len(self.covariate_recipe) + 1 or len(
             self.beta2
         ) != len(self.covariate_recipe) + 1:

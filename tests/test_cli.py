@@ -488,6 +488,23 @@ class TestCoverage:
         assert len(rows) == 1 + 13 * report["n_converged"]
 
 
+class TestBadThreshold:
+    @pytest.mark.parametrize("command, trunc", [
+        (["fit", "--response", "y"], "nan"),
+        (["simulate", "--n", "300", "--xi", "0.25"], "-1"),
+        (["coverage", "--n", "300", "--reps", "2", "--xi", "0.25"], "-0.5"),
+    ])
+    def test_is_an_input_error_naming_the_threshold(
+        self, tmp_path, capsys, bernoulli_exp_csv, command, trunc
+    ):
+        out = tmp_path / "out"
+        data = ["--data", bernoulli_exp_csv[0]] if command[0] == "fit" else []
+        assert main([*command, *data, f"--trunc={trunc}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"truncation threshold must be finite and nonnegative, got {float(trunc)}" in err
+        assert not out.exists()
+
+
 class TestSigCodes:
     @pytest.mark.parametrize(
         "p,code",

@@ -61,6 +61,12 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="nonnegative"):
             read_csv(path, "minutes", 0.0)
 
+    @pytest.mark.parametrize("y_trunc", [-0.5, float("nan"), float("inf")])
+    def test_bad_threshold_is_named(self, tmp_path, y_trunc):
+        path = write_csv(tmp_path, "minutes\n0\n2.5\n")
+        with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
+            read_csv(path, "minutes", y_trunc)
+
     def test_missing_value_rejected(self, tmp_path):
         path = write_csv(tmp_path, "minutes,age\n1.0,\n")
         with pytest.raises(ValueError, match="missing value"):

@@ -427,6 +427,12 @@ class TestFitMle:
         assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.cov))
         assert np.isfinite(fit.loglik)
 
+    @pytest.mark.parametrize("y_trunc", [-0.5, math.nan, math.inf])
+    def test_bad_threshold_is_named(self, y_trunc):
+        y, spec = simulate_dataset(reference_config(n=1000, xi=0.25, seed=11), 0)
+        with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
+            fit_mle(y, y_trunc, spec)
+
     def test_full_model_dominates_reduced(self):
         cfg = reference_config(n=800, reps=1, xi=0.25, seed=15)
         y, spec = simulate_dataset(cfg, 0)
@@ -436,6 +442,47 @@ class TestFitMle:
         )
         reduced = fit_mle(y, cfg.y_trunc, reduced_spec)
         assert full.loglik >= reduced.loglik - 1e-6
+
+
+def natural_score_norm(y, y_trunc, spec, fit):
+    """Max-norm of the score in (beta1, beta2, xi) at a fit's estimates."""
+    _, score, _ = _score_hessian(
+        _split_rows(y, spec), y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
+        not fit.xi_fixed,
+    )
+    return float(np.max(np.abs(score)))
+
+
+@pytest.fixture(scope="module")
+def edge_fit():
+    """Replicate 7 of this xi = 0.8 cell has a likelihood that keeps rising,
+    ever more slowly, as xi -> 1."""
+    cfg = reference_config(n=1000, xi=0.8, seed=11, y_trunc=0.125)
+    y, spec = simulate_dataset(cfg, 7)
+    return y, cfg.y_trunc, spec, fit_mle(y, cfg.y_trunc, spec, keep_trace=True)
+
+
+class TestShapeEdge:
+    def test_shape_running_to_the_edge_is_not_converged(self, edge_fit):
+        *_, fit = edge_fit
+        assert not fit.converged
+        assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.cov))
+
+    def test_edge_fit_reports_its_natural_scale_score(self, edge_fit):
+        y, y_trunc, spec, fit = edge_fit
+        norm = natural_score_norm(y, y_trunc, spec, fit)
+        assert fit.trace[-1][2] == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert norm >= estimation._GTOL
+
+    @pytest.mark.parametrize("n, xi, rep", [(1000, 0.25, 0), (500, 0.5, 0), (1000, -0.2, 1)])
+    def test_convergence_is_judged_on_the_natural_scale_score(self, n, xi, rep):
+        cfg = reference_config(n=n, reps=1, xi=xi, seed=11)
+        y, spec = simulate_dataset(cfg, rep)
+        fit = fit_mle(y, cfg.y_trunc, spec, keep_trace=True)
+        norm = natural_score_norm(y, cfg.y_trunc, spec, fit)
+        assert fit.converged
+        assert fit.trace[-1][2] == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert norm < estimation._GTOL
 
 
 # (seed, xi) of the invariance fits: a heavy tail, a finite support end and

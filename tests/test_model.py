@@ -256,6 +256,13 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="row 1"):
             log_likelihood(np.array([0.0, 0.05, 2.0]), 0.1, spec, coef)
 
+    @pytest.mark.parametrize("y_trunc", [-0.5, math.nan, math.inf])
+    def test_bad_threshold_is_named(self, y_trunc):
+        y, spec = simulate_dataset(reference_config(n=1000, xi=0.25, seed=11), 0)
+        coef = CoefVector(beta1=np.zeros(6), beta2=np.zeros(6), xi=0.25)
+        with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
+            log_likelihood(y, y_trunc, spec, coef)
+
     def test_truth_beats_perturbed_mean_usually(self):
         # not a theorem, a sanity property of the likelihood surface: scaling
         # every mu by 1.2 should lose against the truth nearly always

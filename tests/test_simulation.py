@@ -118,6 +118,11 @@ class TestSimulateDataset:
                 y_trunc=0.0, covariate_recipe=(), seed=0,
             )
 
+    @pytest.mark.parametrize("y_trunc", [-0.5, float("nan"), float("inf")])
+    def test_bad_threshold_is_named(self, y_trunc):
+        with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
+            reference_config(n=300, reps=2, xi=0.25, y_trunc=y_trunc)
+
 
 class TestCoverageStudy:
     def test_single_replicate_report(self):
