@@ -17,6 +17,13 @@ zitpo fit \
   --mu-formula "normal, poisson, bernoulli1, bernoulli2, exponential" \
   --out "$work/fit.json"
 
+# 2b. the same fit with the shape frozen at 0.2, keeping the Newton trace
+zitpo fit \
+  --data "$work/data.csv" --response y --trunc 0.125 \
+  --pi-formula "normal, poisson, bernoulli1, bernoulli2, exponential" \
+  --mu-formula "normal, poisson, bernoulli1, bernoulli2, exponential" \
+  --fix-xi 0.2 --trace --out "$work/fit_fixed.json"
+
 # 3. marginal likelihood-ratio tests for two terms
 zitpo lrt \
   --data "$work/data.csv" --response y --trunc 0.125 \

@@ -58,9 +58,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
         metavar="NAME[:base=LEVEL][:coding=treatment|sum]",
         help="declare a categorical variable (repeatable)",
     )
-    parser.add_argument("--init", help="JSON file with starting beta1/beta2/xi")
     parser.add_argument("--fix-xi", type=float, default=None, help="freeze the shape")
-    parser.add_argument("--trace", action="store_true", help="record the optimizer trace")
 
 
 def _parse_factor(arg: str) -> ContrastSpec:
@@ -161,7 +159,7 @@ def run_report(args, ds, fit: FitResult, levels) -> dict:
         },
         "seed": None,
     }
-    if fit.trace is not None:
+    if args.trace:
         report["fit"]["trace"] = [
             {"iteration": i, "loglik": _num(l), "grad_norm": _num(g)}
             for i, l, g in fit.trace
@@ -214,9 +212,7 @@ def _print_coef_table(title: str, rows) -> None:
 def cmd_fit(args) -> int:
     ds, spec, levels = _prepare(args)
     init = _load_init(args.init) if args.init else None
-    fit = fit_mle(
-        ds.y, ds.y_trunc, spec, init=init, fix_xi=args.fix_xi, keep_trace=args.trace
-    )
+    fit = fit_mle(ds.y, ds.y_trunc, spec, init=init, fix_xi=args.fix_xi)
     report = run_report(args, ds, fit, levels)
     _write_json(report, args.out)
     _print_coef_table("Probability part (logit link):", report["fit"]["pi_part"])
@@ -381,19 +377,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Flags each preset fixes itself: the grid fixes n, xi, the threshold and
+# the coefficients per cell, the reference design its coefficients.
+_PRESET_FIXES = {
+    "reference-grid": ("n", "xi", "trunc", "beta1", "beta2", "estimates_csv"),
+    "reference": ("beta1", "beta2"),
+}
+
+
 def cmd_coverage(args) -> int:
+    for dest in _PRESET_FIXES.get(args.preset, ()):
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --preset {args.preset}")
     if args.preset == "reference-grid":
-        # The grid fixes n, xi, the threshold and the coefficients per cell.
-        for flag, value in (
-            ("--n", args.n),
-            ("--xi", args.xi),
-            ("--trunc", args.trunc),
-            ("--beta1", args.beta1),
-            ("--beta2", args.beta2),
-            ("--estimates-csv", args.estimates_csv),
-        ):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to --preset reference-grid")
         cells = reference_grid(args.seed)
         if args.reps is not None:
             cells = [dataclasses.replace(cfg, reps=args.reps) for cfg in cells]
@@ -449,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the model to a CSV dataset")
     _add_fit_flags(p_fit)
+    p_fit.add_argument("--init", help="JSON file with starting beta1/beta2/xi")
+    p_fit.add_argument("--trace", action="store_true", help="record the optimizer trace")
     p_fit.add_argument("--out", help="write the JSON report here")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -133,7 +133,7 @@ def zero_calibration(
         raise ValueError("calibration requires a converged fit")
     y = np.asarray(y, dtype=float)
     pi, mu = predict(spec, fit.coef)
-    p_zero = np.exp(_zero_log_prob(pi, mu, fit.coef.xi, y_trunc))
+    p_zero = np.exp(_zero_log_prob(pi, 1.0 - pi, mu, fit.coef.xi, y_trunc))
     edges = np.quantile(pi, np.linspace(0.0, 1.0, bins + 1))
     idx = np.clip(np.searchsorted(edges[1:-1], pi, side="right"), 0, bins - 1)
     rows = []

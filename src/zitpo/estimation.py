@@ -8,9 +8,10 @@ trial point then costs one kernel pass: the zero rows through
 analytic score and the Hessian are all summed from that pass. Newton runs on
 (beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
 halved like any other, and convergence is judged on the natural-scale score.
-The reported log-likelihood is a compensated sum at the optimum. Standard
-errors come from the observed information there: the negative of the Newton
-pass's last Hessian.
+A fixed shape is a frozen coordinate of that vector, outside the free block
+that Newton solves on. The reported log-likelihood is a compensated sum at
+the optimum. Standard errors come from the observed information there: the
+free block of the negative of the Newton pass's last Hessian.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
@@ -87,7 +88,7 @@ class FitResult:
     names2: tuple[str, ...]
     y_trunc: float
     xi_fixed: bool = False
-    trace: tuple[tuple[int, float, float], ...] | None = None
+    trace: tuple[tuple[int, float, float], ...] = ()
 
     @property
     def n(self) -> int:
@@ -211,37 +212,43 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
         return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
 
 
-def _maximize_newton(evaluate, x0, keep_trace: bool):
-    """Maximize f by Newton's method with step halving.
+def _maximize_newton(evaluate, x0, free: np.ndarray):
+    """Maximize f by Newton's method with step halving, moving only the
+    coordinates that the boolean mask ``free`` marks.
 
     ``evaluate(x)`` returns f with its analytic gradient and Hessian, and
     f = -inf where any of them is not finite, so a point is feasible exactly
-    when f is finite. A trial step is accepted when f rises by the Armijo
-    fraction of the predicted rise, or, when f is flat to within
-    ``_FTOL * max(1, |f|)`` (near the optimum the change is below the
-    rounding of a long sum), when it lowers the gradient max-norm.
-    Convergence means gradient max-norm < _GTOL.
+    when f is finite. The step solves the free block of the Newton system. A
+    trial step is accepted when f rises by the Armijo fraction of the
+    predicted rise, or, when f is flat to within ``_FTOL * max(1, |f|)``
+    (near the optimum the change is below the rounding of a long sum), when
+    it lowers the gradient max-norm on the free block. Convergence means
+    that norm < _GTOL.
 
     Returns (x, Hessian, converged, iterations, trace), the Hessian at the
-    returned x; raises ValueError when x0 is not feasible.
+    returned x and one (iteration, f, gradient norm) per iteration; raises
+    ValueError when x0 is not feasible.
     """
     x = np.asarray(x0, dtype=float)
     fx, g, H = evaluate(x)
     if not np.isfinite(fx):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
-    gnorm = float(np.max(np.abs(g)))
+    block = np.ix_(free, free)
+    gnorm = float(np.max(np.abs(g[free])))
     trace: list[tuple[int, float, float]] = []
     it = 0
     while gnorm >= _GTOL and it < _MAX_ITER:
-        p = _newton_direction(g, H)
-        slope = float(g @ p)
+        step = _newton_direction(g[free], H[block])
+        slope = float(g[free] @ step)
+        p = np.zeros_like(x)
+        p[free] = step
         flat = _FTOL * max(1.0, abs(fx))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
             ft, gt, Ht = evaluate(xt)
             if ft >= fx - flat:
-                gtnorm = float(np.max(np.abs(gt)))
+                gtnorm = float(np.max(np.abs(gt[free])))
                 if ft >= fx + _ARMIJO * alpha * slope or gtnorm < gnorm:
                     break
             alpha *= 0.5
@@ -249,8 +256,7 @@ def _maximize_newton(evaluate, x0, keep_trace: bool):
             break
         it += 1
         x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
-        if keep_trace:
-            trace.append((it, fx, gnorm))
+        trace.append((it, fx, gnorm))
     return x, H, gnorm < _GTOL, it, tuple(trace)
 
 
@@ -280,9 +286,9 @@ def _split_rows(y: np.ndarray, spec: ModelSpec) -> _Rows:
     )
 
 
-def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float, free_xi: bool):
-    """Log-likelihood, analytic score and Hessian in (beta1, beta2, xi), the
-    xi row and column only when ``free_xi``, from one kernel pass.
+def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float):
+    """Log-likelihood, analytic score and Hessian in (beta1, beta2, xi) from
+    one kernel pass.
 
     Each row kind goes through its own kernel on its own rows. The per-row
     terms are summed, and their derivatives with respect to
@@ -295,7 +301,7 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float, free_xi: bool
     """
     p1, p2 = rows.x1_zero.shape[0], rows.x2_zero.shape[0]
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
-    k = p1 + p2 + int(free_xi)
+    k = p1 + p2 + 1
     loglik = 0.0
     score = np.zeros(k)
     hess = np.zeros((k, k))
@@ -305,16 +311,14 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float, free_xi: bool
         loglik += float(np.sum(t))
         score[s1] += a1 @ g[0]
         score[s2] += a2 @ g[1]
+        score[-1] += np.sum(g[2])
         hess[s1, s1] += (a1 * h[0]) @ a1.T
         hess[s2, s2] += (a2 * h[3]) @ a2.T
+        hess[s2, -1] += a2 @ h[4]
+        hess[-1, -1] += np.sum(h[5])
         if coupled:
             hess[s1, s2] += (a1 * h[1]) @ a2.T
-        if free_xi:
-            score[-1] += np.sum(g[2])
-            hess[s2, -1] += a2 @ h[4]
-            hess[-1, -1] += np.sum(h[5])
-            if coupled:
-                hess[s1, -1] += a1 @ h[2]
+            hess[s1, -1] += a1 @ h[2]
 
     for lo in range(0, rows.x1_zero.shape[1], _ROW_BLOCK):
         a1 = rows.x1_zero[:, lo : lo + _ROW_BLOCK]
@@ -326,8 +330,7 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float, free_xi: bool
         y = rows.y_pos[lo : lo + _ROW_BLOCK]
         add(a1, a2, *_pos_row_derivs(y, b1 @ a1, b2 @ a2, xi), coupled=False)
     hess[s2, s1] = hess[s1, s2].T
-    if free_xi:
-        hess[-1, :-1] = hess[:-1, -1]
+    hess[-1, :-1] = hess[:-1, -1]
     if not (math.isfinite(loglik) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
         loglik = -math.inf
     return loglik, score, hess
@@ -353,7 +356,6 @@ def fit_mle(
     init: CoefVector | None = None,
     *,
     fix_xi: float | None = None,
-    keep_trace: bool = False,
 ) -> FitResult:
     """Fit the mixture model by maximum likelihood.
 
@@ -371,18 +373,17 @@ def fit_mle(
         the remaining coefficients, and xi = 0.1 (or ``fix_xi``; below 0
         the mu intercept is raised so every positive y is in the support).
     fix_xi : float, optional
-        Freeze the shape at this value instead of estimating it.
-    keep_trace : bool
-        Record (iteration, loglik, gradient-norm) triples, one per Newton
-        iteration.
+        Freeze the shape at this value instead of estimating it; it
+        overrides ``init.xi``.
 
     One Newton pass on (beta1, beta2, xi) runs from the start, so the fit
     is deterministic given (data, init, fix_xi); it converges when the
-    max-norm of the score in those coordinates falls below ``_GTOL``. If it
-    stops short of that (``_MAX_ITER`` iterations, or no halved step
-    accepted; a shape running to the xi -> 1 edge ends this way), or the
-    information at the optimum is not positive definite, the result has
-    ``converged=False`` and NaN standard errors.
+    max-norm of the score in the free coordinates falls below ``_GTOL``;
+    ``trace`` records each iteration. If it stops short of that
+    (``_MAX_ITER`` iterations, or no halved step accepted; a shape running
+    to the xi -> 1 edge ends this way), or the information at the optimum
+    is not positive definite, the result has ``converged=False`` and NaN
+    standard errors.
     """
     y = _check_response(y, y_trunc, spec)
     n_pos = int(np.sum(y > 0.0))
@@ -405,43 +406,34 @@ def fit_mle(
     if init.beta1.size != p1 or init.beta2.size != p2:
         raise ValueError("starting coefficients do not match the design dimensions")
 
-    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        xi = fix_xi if fix_xi is not None else float(theta[p1 + p2])
-        return theta[:p1], theta[p1 : p1 + p2], xi
-
     rows = _split_rows(y, spec)
 
     def evaluate(theta: np.ndarray):
-        b1, b2, xi = unpack(theta)
-        if xi >= 1.0:
+        if theta[-1] >= 1.0:
             return -math.inf, None, None
-        return _score_hessian(rows, y_trunc, b1, b2, xi, fix_xi is None)
+        return _score_hessian(rows, y_trunc, theta[:p1], theta[p1:-1], float(theta[-1]))
 
-    theta0 = np.concatenate([init.beta1, init.beta2])
-    if fix_xi is None:
-        theta0 = np.append(theta0, init.xi)
-    xhat, hess, converged, iterations, trace = _maximize_newton(
-        evaluate, theta0, keep_trace
-    )
-    b1, b2, xi = unpack(xhat)
+    theta0 = np.concatenate([init.beta1, init.beta2, [init.xi if fix_xi is None else fix_xi]])
+    free = np.append(np.ones(p1 + p2, dtype=bool), fix_xi is None)
+    xhat, hess, converged, iterations, trace = _maximize_newton(evaluate, theta0, free)
+    b1, b2, xi = xhat[:p1], xhat[p1:-1], float(xhat[-1])
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
     # the reported value is a compensated sum, so it does not depend on blocking
+    eta1 = spec.x1 @ b1
     with np.errstate(over="ignore", divide="ignore"):
         loglik = math.fsum(
-            _loglik_terms(y, expit(spec.x1 @ b1), np.exp(spec.x2 @ b2), xi, y_trunc)
+            _loglik_terms(y, expit(eta1), expit(-eta1), np.exp(spec.x2 @ b2), xi, y_trunc)
         )
 
-    k = p1 + p2 + 1
+    k = theta0.size
     cov = np.full((k, k), np.nan)
     se = np.full(k, np.nan)
     if converged:
-        cov_free, ok = _covariance(-hess)
-        if ok:
+        cov_free, converged = _covariance(-hess[np.ix_(free, free)])
+        if converged:
             cov = np.zeros((k, k))
-            cov[: cov_free.shape[0], : cov_free.shape[0]] = cov_free
+            cov[np.ix_(free, free)] = cov_free
             se = np.sqrt(np.diag(cov))
-        else:
-            converged = False
 
     return FitResult(
         coef=coef,
@@ -456,7 +448,7 @@ def fit_mle(
         names2=spec.names2,
         y_trunc=float(y_trunc),
         xi_fixed=fix_xi is not None,
-        trace=trace if keep_trace else None,
+        trace=trace,
     )
 
 

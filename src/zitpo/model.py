@@ -184,11 +184,15 @@ def _log_trunc_survival(mu, xi: float, y_trunc: float):
     return out
 
 
-def _zero_log_prob(pi, mu, xi: float, y_trunc: float):
-    """log P(Y = 0) = log(1 - pi * S(y_trunc)). Vectorized in (pi, mu)."""
+def _zero_log_prob(pi, qi, mu, xi: float, y_trunc: float):
+    """log P(Y = 0) = log(1 - pi * S(y_trunc)) as log(qi - pi * (S - 1)),
+    with qi = 1 - pi given by the caller, so nothing cancels when pi is near
+    1. Vectorized in (pi, qi, mu)."""
     log_s = _log_trunc_survival(mu, xi, y_trunc)
     with np.errstate(divide="ignore"):
-        return np.log1p(-np.asarray(pi, dtype=float) * np.exp(log_s))
+        out = np.log(qi - np.asarray(pi, dtype=float) * np.expm1(log_s))
+    # a threshold beyond a xi < 0 support end leaves no mass above it: log(1)
+    return np.where(log_s == -np.inf, 0.0, out)
 
 
 def _pos_log_density(y, pi, mu, xi: float):
@@ -212,7 +216,7 @@ def _pos_log_density(y, pi, mu, xi: float):
 
 def zero_prob(p: ZitpoParams) -> float:
     """Probability of observing a zero: non-events plus truncated positives."""
-    return float(np.exp(_zero_log_prob(p.pi, p.mu, p.xi, p.y_trunc)))
+    return float(np.exp(_zero_log_prob(p.pi, 1.0 - p.pi, p.mu, p.xi, p.y_trunc)))
 
 
 def log_density(y: float, p: ZitpoParams) -> float:
@@ -224,7 +228,7 @@ def log_density(y: float, p: ZitpoParams) -> float:
     if not np.isfinite(y) or y < 0.0:
         raise ValueError(f"response must be a nonnegative number, got {y}")
     if y == 0.0:
-        return float(_zero_log_prob(p.pi, p.mu, p.xi, p.y_trunc))
+        return float(_zero_log_prob(p.pi, 1.0 - p.pi, p.mu, p.xi, p.y_trunc))
     if y <= p.y_trunc:
         raise ValueError(
             f"y={y} lies in (0, {p.y_trunc}]: positives at or below the "
@@ -290,13 +294,15 @@ def predict(spec: ModelSpec, coef: CoefVector) -> tuple[np.ndarray, np.ndarray]:
     return pi, mu
 
 
-def _loglik_terms(y: np.ndarray, pi, mu, xi: float, y_trunc: float) -> np.ndarray:
-    """Per-row log mass/density contributions; -inf marks invalid regions."""
+def _loglik_terms(y: np.ndarray, pi, qi, mu, xi: float, y_trunc: float) -> np.ndarray:
+    """Per-row log mass/density contributions, with qi = 1 - pi given by the
+    caller (see :func:`_zero_log_prob`); -inf marks invalid regions."""
     terms = np.empty_like(y, dtype=float)
     zero = y == 0.0
     pi = np.broadcast_to(np.asarray(pi, dtype=float), y.shape)
+    qi = np.broadcast_to(np.asarray(qi, dtype=float), y.shape)
     mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
-    terms[zero] = _zero_log_prob(pi[zero], mu[zero], xi, y_trunc)
+    terms[zero] = _zero_log_prob(pi[zero], qi[zero], mu[zero], xi, y_trunc)
     terms[~zero] = _pos_log_density(y[~zero], pi[~zero], mu[~zero], xi)
     return terms
 
@@ -443,24 +449,6 @@ def _pos_row_derivs(y, eta1, eta2, xi: float):
     return t, g, h
 
 
-def _loglik_derivs(y: np.ndarray, eta1, eta2, xi: float, y_trunc: float):
-    """Both kernels' ``(t, g, h)`` on mixed rows, in row order.
-
-    The fitter splits its rows by kind once and calls the two kernels
-    directly; this gathers and scatters for one call over any rows.
-    """
-    eta1 = np.asarray(eta1, dtype=float)
-    eta2 = np.asarray(eta2, dtype=float)
-    zero = y == 0.0
-    pos = ~zero
-    t = np.empty(y.size)
-    g = np.empty((3, y.size))
-    h = np.empty((6, y.size))
-    t[zero], g[:, zero], h[:, zero] = _zero_row_derivs(eta1[zero], eta2[zero], xi, y_trunc)
-    t[pos], g[:, pos], h[:, pos] = _pos_row_derivs(y[pos], eta1[pos], eta2[pos], xi)
-    return t, g, h
-
-
 # Relative eigenvalue floor of the rank check. On the Gram matrix scaled to
 # unit diagonal, an exactly collinear column reads about 1e-17 (rounding) and
 # the reference design about 2e-2, so 1e-12 leaves margin on both sides.
@@ -551,7 +539,8 @@ def log_likelihood(
     """
     y = _check_response(y, y_trunc, spec)
     pi, mu = predict(spec, coef)
-    total = math.fsum(_loglik_terms(y, pi, mu, coef.xi, y_trunc))
+    qi = expit(-(spec.x1 @ coef.beta1))
+    total = math.fsum(_loglik_terms(y, pi, qi, mu, coef.xi, y_trunc))
     if not np.isfinite(total):
         raise ValueError("log-likelihood is not finite for these coefficients")
     return total

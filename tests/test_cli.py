@@ -154,6 +154,25 @@ class TestFit:
         assert code == 0
         assert json.loads(out.read_text())["fit"]["converged"] is True
 
+    def test_trace_flag_adds_one_entry_per_iteration(self, tmp_path, bernoulli_exp_csv):
+        path, _ = bernoulli_exp_csv
+        fits = {}
+        for name, extra in (("plain", []), ("traced", ["--trace"])):
+            out = tmp_path / f"{name}.json"
+            assert main([
+                "fit", "--data", path, "--response", "y", "--trunc", "0",
+                *extra, "--out", str(out),
+            ]) == 0
+            fits[name] = json.loads(out.read_text())["fit"]
+        assert "trace" not in fits["plain"]
+        trace = fits["traced"].pop("trace")
+        assert fits["traced"] == fits["plain"]
+        assert fits["plain"]["converged"] is True
+        assert [t["iteration"] for t in trace] == list(range(1, fits["plain"]["iterations"] + 1))
+        logliks = [t["loglik"] for t in trace]
+        assert all(b >= a for a, b in zip(logliks, logliks[1:]))
+        assert trace[-1]["grad_norm"] < 1e-6
+
     def test_nonconvergence_exits_2_but_writes_report(self, tmp_path, bernoulli_exp_csv, monkeypatch):
         import dataclasses
 
@@ -253,6 +272,17 @@ class TestLrt:
             "--drop", "ghost",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--init", "init.json"], ["--trace"]])
+    def test_fit_only_flags_are_input_errors(self, tmp_path, bernoulli_exp_csv, flag):
+        path, _ = bernoulli_exp_csv
+        out = tmp_path / "lrt.json"
+        code = main([
+            "lrt", "--data", path, "--response", "y", "--trunc", "0",
+            *flag, "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
 
 
 class TestDiagnose:
@@ -457,6 +487,21 @@ class TestCoverage:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "grid.json").exists()
         assert not (tmp_path / "est.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+    def test_reference_preset_rejects_coefficient_flags(self, tmp_path, monkeypatch, capsys, flag):
+        import zitpo.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no study should run")
+
+        monkeypatch.setattr(cli_mod, "coverage_study", never)
+        out = tmp_path / "cov.json"
+        code = main(["coverage", "--preset", "reference", "--reps", "1",
+                     flag, "[9, 9, 9, 9, 9, 9]", "--out", str(out)])
+        assert code == 1
+        assert f"{flag} does not apply to --preset reference" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_text_is_to_json_on_file_and_stdout(self, tmp_path, capsys):
         cfg = reference_config(n=400, reps=3, xi=0.25, seed=5)

@@ -77,14 +77,10 @@ class TestNumericGradient:
             for r in range(12):
                 cfg = reference_config(n=n, reps=1, xi=0.25, seed=31)
                 y, spec = simulate_dataset(cfg, r)
-                theta0 = np.concatenate(
-                    [cfg.beta1, cfg.beta2, [-np.log1p(-cfg.xi)]]
-                )
+                theta0 = np.concatenate([cfg.beta1, cfg.beta2, [cfg.xi]])
 
                 def mean_ll(t):
-                    coef = CoefVector(
-                        beta1=t[:6], beta2=t[6:12], xi=1.0 - np.exp(-t[12])
-                    )
+                    coef = CoefVector(beta1=t[:6], beta2=t[6:12], xi=t[12])
                     return log_likelihood(y, cfg.y_trunc, spec, coef) / n
 
                 vals.append(np.max(np.abs(numeric_gradient(mean_ll, theta0))))
@@ -112,14 +108,8 @@ class TestNumericHessian:
         fit = fit_mle(y, cfg.y_trunc, spec)
         assert fit.converged
 
-        def ll(t):
-            coef = CoefVector(beta1=t[:6], beta2=t[6:12], xi=1.0 - np.exp(-t[12]))
-            return log_likelihood(y, cfg.y_trunc, spec, coef)
-
-        theta_hat = np.concatenate(
-            [fit.coef.beta1, fit.coef.beta2, [-np.log1p(-fit.coef.xi)]]
-        )
-        eig = np.linalg.eigvalsh(numeric_hessian(ll, theta_hat))
+        ll = natural_loglik(y, cfg.y_trunc, spec)
+        eig = np.linalg.eigvalsh(numeric_hessian(ll, fit.estimates))
         assert np.all(eig < 0.0)
 
 
@@ -162,7 +152,7 @@ class TestAnalyticDerivatives:
             v = np.concatenate([coef.beta1, coef.beta2, [xi]])
             f = natural_loglik(y, y_trunc, spec)
             _, score, hess = _score_hessian(
-                _split_rows(y, spec), y_trunc, coef.beta1, coef.beta2, xi, True
+                _split_rows(y, spec), y_trunc, coef.beta1, coef.beta2, xi
             )
             g_num = numeric_gradient(f, v)
             assert np.max(np.abs(score - g_num)) <= 1e-6 * np.max(np.abs(score))
@@ -174,7 +164,7 @@ class TestAnalyticDerivatives:
         # more rows than one block of the assembly, so every block is summed
         y, spec, coef = random_problem(xi, 0.125, 8, n=2 * estimation._ROW_BLOCK + 7)
         loglik, _, _ = _score_hessian(
-            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi, True
+            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi
         )
         ref = log_likelihood(y, 0.125, spec, coef)
         assert loglik == pytest.approx(ref, rel=1e-12)
@@ -182,7 +172,7 @@ class TestAnalyticDerivatives:
         y_out = y.copy()
         y_out[np.argmax(y)] = 1e6
         out, _, _ = _score_hessian(
-            _split_rows(y_out, spec), 0.125, coef.beta1, coef.beta2, -0.3, True
+            _split_rows(y_out, spec), 0.125, coef.beta1, coef.beta2, -0.3
         )
         assert out == -math.inf
 
@@ -196,20 +186,23 @@ class TestAnalyticDerivatives:
         assert rows.x1_zero.shape[1] == 40 < estimation._ROW_BLOCK < rows.y_pos.size
         v = np.concatenate([coef.beta1, coef.beta2, [0.25]])
         f = natural_loglik(y, 0.125, spec)
-        loglik, score, hess = _score_hessian(rows, 0.125, coef.beta1, coef.beta2, 0.25, True)
+        loglik, score, hess = _score_hessian(rows, 0.125, coef.beta1, coef.beta2, 0.25)
         assert loglik == pytest.approx(f(v), rel=1e-12)
         assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
         assert np.max(np.abs(hess - numeric_hessian(f, v))) <= 1e-4 * np.max(np.abs(hess))
 
     @pytest.mark.parametrize("xi", [0.0, 0.25])
     def test_fixed_shape_mode(self, xi):
+        # a frozen shape drops the xi row and column: the free block is the
+        # system in (beta1, beta2) at that xi
         y, spec, coef = random_problem(xi, 0.125, 5)
         v = np.concatenate([coef.beta1, coef.beta2])
         f = natural_loglik(y, 0.125, spec, fixed_xi=xi)
         _, score, hess = _score_hessian(
-            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi, False
+            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi
         )
-        assert score.shape == (5,) and hess.shape == (5, 5)
+        assert score.shape == (6,) and hess.shape == (6, 6)
+        score, hess = score[:5], hess[:5, :5]
         assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
         h_num = numeric_hessian(f, v)
         assert np.max(np.abs(hess - h_num)) <= 1e-4 * np.max(np.abs(hess))
@@ -225,28 +218,30 @@ class TestAnalyticDerivatives:
 
     @pytest.mark.parametrize("fix_xi", [None, 0.2])
     def test_covariance_matches_the_natural_scale_information(self, fix_xi):
-        # the fit takes the Newton pass's last Hessian back to the natural
-        # scale; assembling it there again gives the same matrix
+        # the fit inverts the free block of the Newton pass's last Hessian;
+        # assembling it again at the estimates gives the same matrix, and a
+        # frozen shape has zero rows and columns
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=43)
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
         assert fit.converged
         _, _, hess = _score_hessian(
-            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
-            fix_xi is None,
+            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
         )
-        k = hess.shape[0]
-        assert np.allclose(fit.cov[:k, :k], np.linalg.inv(-hess), rtol=1e-10, atol=0.0)
+        k = hess.shape[0] - (fix_xi is not None)
+        assert np.allclose(
+            fit.cov[:k, :k], np.linalg.inv(-hess[:k, :k]), rtol=1e-10, atol=0.0
+        )
+        if fix_xi is not None:
+            assert np.all(fit.cov[-1] == 0.0) and np.all(fit.cov[:, -1] == 0.0)
 
     def test_score_vanishes_at_the_fit(self):
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=42)
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec)
         _, score, _ = _score_hessian(
-            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi, True
+            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
         )
-        # natural-scale score; the stopping rule is on (1 - xi) times its last entry
-        score[-1] *= 1.0 - fit.coef.xi
         assert np.max(np.abs(score)) < 1e-6
 
 
@@ -413,10 +408,24 @@ class TestFitMle:
     def test_trace_records_progress(self):
         cfg = reference_config(n=500, reps=1, xi=0.25, seed=14)
         y, spec = simulate_dataset(cfg, 0)
-        fit = fit_mle(y, cfg.y_trunc, spec, keep_trace=True)
-        assert fit.trace is not None and len(fit.trace) == fit.iterations
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        assert len(fit.trace) == fit.iterations
         logliks = [t[1] for t in fit.trace]
         assert logliks[-1] >= logliks[0]
+
+    @pytest.mark.parametrize("fix_xi", [0.2, -0.2])
+    def test_fixed_shape_overrides_the_start(self, fix_xi):
+        # the start's xi differs; the shape is frozen at fix_xi exactly
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=44)
+        y, spec = simulate_dataset(cfg, 0)
+        init = estimation._default_start(y, spec, fix_xi)
+        init = CoefVector(beta1=init.beta1, beta2=init.beta2, xi=0.6)
+        fit = fit_mle(y, cfg.y_trunc, spec, init=init, fix_xi=fix_xi)
+        assert fit.converged and fit.xi_fixed
+        assert fit.coef.xi == fix_xi and fit.estimates[-1] == fix_xi
+        assert fit.se[-1] == 0.0
+        ref = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
+        assert np.allclose(fit.estimates, ref.estimates, rtol=0.0, atol=1e-6)
 
     def test_iteration_cap_returns_an_unconverged_fit(self, monkeypatch):
         monkeypatch.setattr(estimation, "_MAX_ITER", 1)
@@ -447,8 +456,7 @@ class TestFitMle:
 def natural_score_norm(y, y_trunc, spec, fit):
     """Max-norm of the score in (beta1, beta2, xi) at a fit's estimates."""
     _, score, _ = _score_hessian(
-        _split_rows(y, spec), y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi,
-        not fit.xi_fixed,
+        _split_rows(y, spec), y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
     )
     return float(np.max(np.abs(score)))
 
@@ -459,7 +467,7 @@ def edge_fit():
     ever more slowly, as xi -> 1."""
     cfg = reference_config(n=1000, xi=0.8, seed=11, y_trunc=0.125)
     y, spec = simulate_dataset(cfg, 7)
-    return y, cfg.y_trunc, spec, fit_mle(y, cfg.y_trunc, spec, keep_trace=True)
+    return y, cfg.y_trunc, spec, fit_mle(y, cfg.y_trunc, spec)
 
 
 class TestShapeEdge:
@@ -478,7 +486,7 @@ class TestShapeEdge:
     def test_convergence_is_judged_on_the_natural_scale_score(self, n, xi, rep):
         cfg = reference_config(n=n, reps=1, xi=xi, seed=11)
         y, spec = simulate_dataset(cfg, rep)
-        fit = fit_mle(y, cfg.y_trunc, spec, keep_trace=True)
+        fit = fit_mle(y, cfg.y_trunc, spec)
         norm = natural_score_norm(y, cfg.y_trunc, spec, fit)
         assert fit.converged
         assert fit.trace[-1][2] == pytest.approx(norm, rel=1e-12, abs=0.0)

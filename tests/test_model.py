@@ -13,7 +13,6 @@ from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
 from zitpo.model import (
     _SERIES_X,
     _check_rank,
-    _loglik_derivs,
     _loglik_terms,
     _pos_row_derivs,
     _redundant_columns,
@@ -296,7 +295,9 @@ def row_term(y, y_trunc):
 
     def f(v):
         yy = np.array([y])
-        return float(_loglik_terms(yy, expit(v[0]), math.exp(v[1]), v[2], y_trunc)[0])
+        return float(
+            _loglik_terms(yy, expit(v[0]), expit(-v[0]), math.exp(v[1]), v[2], y_trunc)[0]
+        )
 
     return f
 
@@ -315,7 +316,10 @@ class TestLoglikDerivs:
             mu = math.exp(eta[1])
             # zero rows and positive rows, kept inside a xi < 0 support
             y = 0.0 if rng.random() < 0.4 else y_trunc + rng.uniform(0.05, 2.0) * mu
-            _, g, h = _loglik_derivs(np.array([y]), eta[:1], eta[1:2], xi, y_trunc)
+            if y == 0.0:
+                _, g, h = _zero_row_derivs(eta[:1], eta[1:2], xi, y_trunc)
+            else:
+                _, g, h = _pos_row_derivs(np.array([y]), eta[:1], eta[1:2], xi)
             f = row_term(y, y_trunc)
             g_num = numeric_gradient(f, eta)
             h_num = numeric_hessian(f, eta)
@@ -328,7 +332,7 @@ class TestLoglikDerivs:
     def test_positive_rows_separate_in_eta1(self):
         y = np.array([0.3, 1.0, 7.0])
         eta1 = np.array([-2.0, 0.0, 3.0])
-        _, g, h = _loglik_derivs(y, eta1, np.zeros(3), 0.25, 0.125)
+        _, g, h = _pos_row_derivs(y, eta1, np.zeros(3), 0.25)
         pi = expit(eta1)
         assert np.allclose(g[0], 1.0 - pi, rtol=1e-15)
         assert np.allclose(h[0], -pi * (1.0 - pi), rtol=1e-15)
@@ -337,17 +341,19 @@ class TestLoglikDerivs:
     def test_exponential_branch_limit(self):
         # at xi = 0 the eta derivatives are those of the exponential model:
         # positive rows log pi - eta2 - y*exp(-eta2), zero rows log(1 - pi*exp(-y0/mu))
-        y = np.array([0.0, 0.0, 0.4, 2.5])
+        y = np.array([0.4, 2.5])
         eta1 = np.array([0.3, -1.0, 0.5, 1.2])
         eta2 = np.array([0.1, 0.7, -0.2, 0.4])
         y0 = 0.125
-        _, g, h = _loglik_derivs(y, eta1, eta2, 0.0, y0)
         mu = np.exp(eta2)
-        assert np.allclose(g[1, 2:], -1.0 + y[2:] / mu[2:], rtol=1e-14)
-        assert np.allclose(h[3, 2:], -y[2:] / mu[2:], rtol=1e-14)
+        _, g, h = _pos_row_derivs(y, eta1[2:], eta2[2:], 0.0)
+        assert np.allclose(g[1], -1.0 + y / mu[2:], rtol=1e-14)
+        assert np.allclose(h[3], -y / mu[2:], rtol=1e-14)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+        _, g, h = _zero_row_derivs(eta1[:2], eta2[:2], 0.0, y0)
         q = expit(eta1[:2]) * np.exp(-y0 / mu[:2])
         r = q / (1.0 - q)
-        assert np.allclose(g[1, :2], -r * y0 / mu[:2], rtol=1e-13)
+        assert np.allclose(g[1], -r * y0 / mu[:2], rtol=1e-13)
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
 
     def test_zero_row_beyond_the_support_end(self):
@@ -355,7 +361,7 @@ class TestLoglikDerivs:
         # so the term is log(1) = 0 whatever eta2 and xi are
         xi, y0 = -0.5, 1.0
         eta2 = math.log(0.2)  # support end mu*(1-xi)/(-xi) = 0.6 < y0
-        _, g, h = _loglik_derivs(np.array([0.0]), np.array([0.4]), np.array([eta2]), xi, y0)
+        _, g, h = _zero_row_derivs(np.array([0.4]), np.array([eta2]), xi, y0)
         assert np.all(g == 0.0) and np.all(h == 0.0)
 
 
@@ -417,7 +423,7 @@ class TestRowKindKernels:
         block = evaluate(slice(None))
         for got, ref in zip(block, rows_alone(evaluate, x.size)):
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
-        ref = _loglik_terms(y, expit(eta1), np.exp(eta2), xi, 0.125)
+        ref = _loglik_terms(y, expit(eta1), expit(-eta1), np.exp(eta2), xi, 0.125)
         assert np.all(np.abs(block[0] - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
         assert all(np.all(np.isfinite(a)) for a in block)
 
@@ -470,19 +476,33 @@ class TestLoglikTerms:
         if xi < 0.0:
             # positive rows inside the support end mu*(1 - xi)/(-xi)
             y = np.where(y < 0.9 * mu * (1.0 - xi) / -xi, y, 0.0)
-        t, _, _ = _loglik_derivs(y, eta1, eta2, xi, y_trunc)
-        ref = _loglik_terms(y, expit(eta1), mu, xi, y_trunc)
+        zero = y == 0.0
+        t = np.empty(n)
+        t[zero], _, _ = _zero_row_derivs(eta1[zero], eta2[zero], xi, y_trunc)
+        t[~zero], _, _ = _pos_row_derivs(y[~zero], eta1[~zero], eta2[~zero], xi)
+        ref = _loglik_terms(y, expit(eta1), expit(-eta1), mu, xi, y_trunc)
         assert np.all(np.isfinite(ref))
-        assert np.all(np.abs(t - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+        assert np.all(np.abs(t - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_zero_rows_keep_their_precision_as_pi_nears_one(self):
+        # log(1 - pi) from 1 - pi itself: at eta1 = 40 pi rounds to 1, yet the
+        # term is log(expit(-40)) = -40 to rounding
+        eta1 = np.array([12.0, 40.0])
+        y = np.zeros(2)
+        t = _loglik_terms(y, expit(eta1), expit(-eta1), np.ones(2), 0.25, 0.0)
+        np.testing.assert_allclose(t, -eta1 - np.log1p(np.exp(-eta1)), rtol=1e-15)
 
     def test_terms_beyond_the_support_end(self):
         # support end mu*(1-xi)/(-xi) = 0.6: a zero row with its threshold past
         # it has log(1) = 0, a positive row past it has no density
         xi, y0 = -0.5, 1.0
         eta2 = np.full(3, math.log(0.2))
-        t, _, _ = _loglik_derivs(np.array([0.0, 1.5, 5.0]), np.full(3, 0.4), eta2, xi, y0)
+        t, _, _ = _zero_row_derivs(np.full(1, 0.4), eta2[:1], xi, y0)
         assert t[0] == 0.0
-        assert not np.any(np.isfinite(t[1:]))
+        t, _, _ = _pos_row_derivs(np.array([1.5, 5.0]), np.full(2, 0.4), eta2[1:], xi)
+        assert not np.any(np.isfinite(t))
+        ref = _loglik_terms(np.zeros(1), expit(0.4), expit(-0.4), 0.2, xi, y0)
+        assert ref[0] == 0.0
 
 
 def rank_message(*names):
