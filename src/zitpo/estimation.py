@@ -7,7 +7,8 @@ trial point then costs one kernel pass: the zero rows through
 :func:`zitpo.model._pos_row_derivs`, each on its own rows; the value, the
 analytic score and the Hessian are all summed from that pass. Newton runs on
 (beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
-halved like any other, and convergence is judged on the natural-scale score.
+halved like any other. Convergence is judged on the Newton decrement, which
+covariate units do not move; a free shape near 1 ends the pass unconverged.
 A fixed shape is a frozen coordinate of that vector, outside the free block
 that Newton solves on. The reported log-likelihood is a compensated sum at
 the optimum. Standard errors come from the observed information there: the
@@ -185,9 +186,10 @@ def _bump(x: np.ndarray, *moves: tuple[int, float]) -> np.ndarray:
     return out
 
 
-# Stopping rule of the Newton pass (see _maximize_newton): gradient max-norm
-# below _GTOL, at most _MAX_ITER iterations, changes below _FTOL relative flat.
-_GTOL = 1e-6
+# Stopping rule of the Newton pass (see _maximize_newton): decrement below
+# _DECREMENT_TOL, _MAX_ITER iterations, or a free shape within _EDGE of 1.
+_DECREMENT_TOL = 1e-16
+_EDGE = 1e-3
 _FTOL = 1e-10
 _MAX_ITER = 500
 # Armijo constant of the step-halving search, and the number of halvings
@@ -198,18 +200,18 @@ _MAX_HALVINGS = 40
 _ROW_BLOCK = 4096
 
 
-def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Ascent direction (-H)^-1 g; where -H is not positive definite (far
-    from the optimum), its eigenvalues are replaced by their absolute values,
-    floored at 1e-8 of the largest, which keeps the step an ascent one."""
+def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Ascent direction (-H)^-1 g, and whether -H is positive definite; where
+    it is not (far from the optimum), its eigenvalues are replaced by their
+    absolute values, floored at 1e-8 of the largest, to keep an ascent step."""
     info = -hess
     try:
         np.linalg.cholesky(info)
-        return np.linalg.solve(info, grad)
+        return np.linalg.solve(info, grad), True
     except np.linalg.LinAlgError:
         lam, vec = np.linalg.eigh(info)
         floor = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
-        return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor))
+        return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor)), False
 
 
 def _maximize_newton(evaluate, x0, free: np.ndarray):
@@ -218,28 +220,33 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
 
     ``evaluate(x)`` returns f with its analytic gradient and Hessian, and
     f = -inf where any of them is not finite, so a point is feasible exactly
-    when f is finite. The step solves the free block of the Newton system. A
-    trial step is accepted when f rises by the Armijo fraction of the
-    predicted rise, or, when f is flat to within ``_FTOL * max(1, |f|)``
-    (near the optimum the change is below the rounding of a long sum), when
-    it lowers the gradient max-norm on the free block. Convergence means
-    that norm < _GTOL.
+    when f is finite. The step p solves the free block of the Newton system.
+    The pass converges when the decrement g'p = g'(-H)^-1 g, which no linear
+    change of x moves, is below ``_DECREMENT_TOL`` (a step under 1e-8
+    standard errors) with -H positive definite. A trial step is accepted
+    when f rises by the Armijo fraction of the predicted rise, less
+    ``_FTOL * max(1, |f|)`` for the rounding of a long sum. The pass ends
+    unconverged after ``_MAX_ITER`` iterations, when no halved step is
+    accepted, or when a free shape comes within ``_EDGE`` of 1.
 
     Returns (x, Hessian, converged, iterations, trace), the Hessian at the
-    returned x and one (iteration, f, gradient norm) per iteration; raises
-    ValueError when x0 is not feasible.
+    returned x and one (iteration, f, gradient max-norm) per iteration;
+    raises ValueError when x0 is not feasible.
     """
     x = np.asarray(x0, dtype=float)
     fx, g, H = evaluate(x)
     if not np.isfinite(fx):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
     block = np.ix_(free, free)
-    gnorm = float(np.max(np.abs(g[free])))
     trace: list[tuple[int, float, float]] = []
+    converged = False
     it = 0
-    while gnorm >= _GTOL and it < _MAX_ITER:
-        step = _newton_direction(g[free], H[block])
-        slope = float(g[free] @ step)
+    while it < _MAX_ITER:
+        step, definite = _newton_direction(g[free], H[block])
+        decrement = float(g[free] @ step)
+        if decrement < _DECREMENT_TOL:
+            converged = definite
+            break
         p = np.zeros_like(x)
         p[free] = step
         flat = _FTOL * max(1.0, abs(fx))
@@ -247,17 +254,17 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
             ft, gt, Ht = evaluate(xt)
-            if ft >= fx - flat:
-                gtnorm = float(np.max(np.abs(gt[free])))
-                if ft >= fx + _ARMIJO * alpha * slope or gtnorm < gnorm:
-                    break
+            if ft >= fx + _ARMIJO * alpha * decrement - flat:
+                break
             alpha *= 0.5
         else:
             break
         it += 1
-        x, fx, g, H, gnorm = xt, ft, gt, Ht, gtnorm
-        trace.append((it, fx, gnorm))
-    return x, H, gnorm < _GTOL, it, tuple(trace)
+        x, fx, g, H = xt, ft, gt, Ht
+        trace.append((it, fx, float(np.max(np.abs(g[free])))))
+        if free[-1] and x[-1] > 1.0 - _EDGE:
+            break
+    return x, H, converged, it, tuple(trace)
 
 
 class _Rows(NamedTuple):
@@ -378,11 +385,11 @@ def fit_mle(
 
     One Newton pass on (beta1, beta2, xi) runs from the start, so the fit
     is deterministic given (data, init, fix_xi); it converges when the
-    max-norm of the score in the free coordinates falls below ``_GTOL``;
+    Newton decrement in the free coordinates falls below
+    ``_DECREMENT_TOL`` with the information there positive definite;
     ``trace`` records each iteration. If it stops short of that
-    (``_MAX_ITER`` iterations, or no halved step accepted; a shape running
-    to the xi -> 1 edge ends this way), or the information at the optimum
-    is not positive definite, the result has ``converged=False`` and NaN
+    (``_MAX_ITER`` iterations, no halved step accepted, or a free shape
+    within ``_EDGE`` of 1), the result has ``converged=False`` and NaN
     standard errors.
     """
     y = _check_response(y, y_trunc, spec)
@@ -426,14 +433,10 @@ def fit_mle(
         )
 
     k = theta0.size
-    cov = np.full((k, k), np.nan)
-    se = np.full(k, np.nan)
+    cov = np.zeros((k, k)) if converged else np.full((k, k), np.nan)
     if converged:
-        cov_free, converged = _covariance(-hess[np.ix_(free, free)])
-        if converged:
-            cov = np.zeros((k, k))
-            cov[np.ix_(free, free)] = cov_free
-            se = np.sqrt(np.diag(cov))
+        cov[np.ix_(free, free)] = _covariance(-hess[np.ix_(free, free)])
+    se = np.sqrt(np.diag(cov))
 
     return FitResult(
         coef=coef,
@@ -452,14 +455,10 @@ def fit_mle(
     )
 
 
-def _covariance(info: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Inverse of the observed information; flags one that is not positive
-    definite."""
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError:
-        return np.empty(0), False
-    return np.linalg.inv(info), True
+def _covariance(info: np.ndarray) -> np.ndarray:
+    """Inverse of the observed information (a converged pass has shown it
+    to be positive definite)."""
+    return np.linalg.inv(info)
 
 
 def confidence_interval(fit: FitResult, level: float = 0.95) -> np.ndarray:

@@ -66,10 +66,8 @@ class ZitpoParams:
             raise ValueError(f"pi must lie strictly in (0, 1), got {self.pi}")
         if not np.isfinite(self.mu) or self.mu <= 0.0:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not np.isfinite(self.xi) or self.xi >= 1.0:
-            raise ValueError(f"xi must be < 1, got {self.xi}")
-        if not np.isfinite(self.y_trunc) or self.y_trunc < 0.0:
-            raise ValueError(f"y_trunc must be nonnegative, got {self.y_trunc}")
+        _check_shape(self.xi)
+        _check_threshold(self.y_trunc)
 
 
 @dataclass(frozen=True)
@@ -130,8 +128,7 @@ class CoefVector:
         object.__setattr__(self, "beta2", b2)
         if not (np.all(np.isfinite(b1)) and np.all(np.isfinite(b2))):
             raise ValueError("coefficients must be finite")
-        if not np.isfinite(self.xi) or self.xi >= 1.0:
-            raise ValueError(f"xi must be < 1, got {self.xi}")
+        _check_shape(self.xi)
 
 
 @dataclass(frozen=True)
@@ -502,6 +499,12 @@ def _redundant_columns(scaled: np.ndarray, norm: np.ndarray, names) -> list:
         else:
             offenders.append(name)
     return offenders
+
+
+def _check_shape(xi: float) -> None:
+    """Raise unless the shape is finite and below 1."""
+    if not (math.isfinite(xi) and xi < 1.0):
+        raise ValueError(f"xi must be finite and < 1, got {xi}")
 
 
 def _check_threshold(y_trunc: float) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimation import confidence_interval, fit_mle
 from .gpd import XI_TOL
-from .model import CoefVector, ModelSpec, _check_threshold, predict
+from .model import CoefVector, ModelSpec, _check_shape, _check_threshold, predict
 
 __all__ = [
     "SimConfig",
@@ -93,8 +93,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.reps < 1:
             raise ValueError("n and reps must be at least 1")
-        if self.xi >= 1.0:
-            raise ValueError(f"xi must be < 1, got {self.xi}")
+        _check_shape(self.xi)
         _check_threshold(self.y_trunc)
         if len(self.beta1) != len(self.covariate_recipe) + 1 or len(
             self.beta2
@@ -188,8 +187,7 @@ def rtrunc_gpd(u, mu, xi: float, y_trunc: float):
     y_trunc : float
         Truncation threshold.
     """
-    if xi >= 1.0:
-        raise ValueError(f"xi must be < 1, got {xi}")
+    _check_shape(xi)
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0 and np.ndim(mu) == 0
     if np.any((u_arr <= 0.0) | (u_arr > 1.0)):

@@ -296,8 +296,35 @@ class TestNewton:
     def test_indefinite_information_still_gives_an_ascent_step(self):
         hess = np.diag([-4.0, 1.0, -1e-12])
         g = np.array([1.0, -2.0, 0.5])
-        p = _newton_direction(g, hess)
+        p, definite = _newton_direction(g, hess)
         assert np.all(np.isfinite(p)) and g @ p > 0.0
+        assert not definite
+
+    def test_definite_information_gives_the_newton_step(self):
+        hess = -np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        g = np.array([1.0, -2.0, 0.5])
+        p, definite = _newton_direction(g, hess)
+        assert definite
+        assert np.allclose(p, np.linalg.solve(-hess, g), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_covariate_units_do_not_change_the_fit(self, scale):
+        # the Newton decrement does not change under a rescaled column, so
+        # neither do the iterations; the estimates agree once the scale is undone
+        cfg = reference_config(n=2000, reps=1, xi=0.25, seed=7)
+        y, spec = simulate_dataset(cfg, 0)
+        x = spec.x1.copy()
+        x[:, 1] *= scale
+        scaled = ModelSpec(x1=x, x2=x, names1=spec.names1, names2=spec.names2)
+        base = fit_mle(y, cfg.y_trunc, spec)
+        fit = fit_mle(y, cfg.y_trunc, scaled)
+        assert base.converged and fit.converged
+        assert fit.iterations == base.iterations
+        undo = np.ones(base.estimates.size)
+        undo[[1, 1 + spec.x1.shape[1]]] = scale
+        assert np.all(np.abs(fit.estimates * undo - base.estimates) < 1e-6 * base.se)
+        assert np.allclose(fit.se * undo, base.se, rtol=1e-6, atol=0.0)
+        assert fit.loglik == pytest.approx(base.loglik, rel=1e-12)
 
     def test_far_start_reaches_the_same_optimum(self):
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=3)
@@ -475,22 +502,34 @@ class TestShapeEdge:
         *_, fit = edge_fit
         assert not fit.converged
         assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.cov))
+        # the edge stop ends the pass within 1e-3 of 1, not at the iteration cap
+        assert fit.iterations < 100 and 1.0 - 1e-3 < fit.coef.xi < 1.0
 
     def test_edge_fit_reports_its_natural_scale_score(self, edge_fit):
         y, y_trunc, spec, fit = edge_fit
         norm = natural_score_norm(y, y_trunc, spec, fit)
         assert fit.trace[-1][2] == pytest.approx(norm, rel=1e-12, abs=0.0)
-        assert norm >= estimation._GTOL
+        assert norm >= 1e-6
+
+    def test_frozen_shape_near_the_edge_is_not_stopped(self, edge_fit):
+        y, y_trunc, spec, _ = edge_fit
+        fit = fit_mle(y, y_trunc, spec, fix_xi=1.0 - 1e-4)
+        assert fit.converged and fit.se[-1] == 0.0
 
     @pytest.mark.parametrize("n, xi, rep", [(1000, 0.25, 0), (500, 0.5, 0), (1000, -0.2, 1)])
-    def test_convergence_is_judged_on_the_natural_scale_score(self, n, xi, rep):
+    def test_convergence_is_judged_on_the_newton_decrement(self, n, xi, rep):
         cfg = reference_config(n=n, reps=1, xi=xi, seed=11)
         y, spec = simulate_dataset(cfg, rep)
         fit = fit_mle(y, cfg.y_trunc, spec)
-        norm = natural_score_norm(y, cfg.y_trunc, spec, fit)
         assert fit.converged
+        _, score, hess = _score_hessian(
+            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
+        )
+        step, definite = _newton_direction(score, hess)
+        assert definite and score @ step < 1e-16
+        norm = float(np.max(np.abs(score)))
         assert fit.trace[-1][2] == pytest.approx(norm, rel=1e-12, abs=0.0)
-        assert norm < estimation._GTOL
+        assert norm < 1e-6
 
 
 # (seed, xi) of the invariance fits: a heavy tail, a finite support end and

@@ -591,6 +591,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             ZitpoParams(pi=0.5, mu=1.0, xi=0.1, y_trunc=-0.5)
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shape_is_rejected(self, xi):
+        with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+            ZitpoParams(pi=0.5, mu=1.0, xi=xi)
+        with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+            CoefVector(beta1=[0.0], beta2=[0.0], xi=xi)
+
+    @pytest.mark.parametrize("y_trunc", [-0.5, math.nan, math.inf])
+    def test_zitpo_params_threshold_is_named(self, y_trunc):
+        with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
+            ZitpoParams(pi=0.5, mu=1.0, xi=0.1, y_trunc=y_trunc)
+
     def test_model_spec_checks(self):
         with pytest.raises(ValueError, match="intercept"):
             ModelSpec(x1=np.zeros((3, 1)), x2=np.ones((3, 1)))

@@ -1,5 +1,7 @@
 """Random generation and coverage-study harness tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,14 @@ class TestRtruncGpd:
             rtrunc_gpd(0.0, 1.0, 0.25, 0.0)
         with pytest.raises(ValueError):
             rtrunc_gpd(np.array([0.5, 1.2]), 1.0, 0.25, 0.0)
+
+    @pytest.mark.parametrize("xi", [1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_shape_is_rejected(self, xi):
+        # checked before any draw, so no NaN draws and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+                rtrunc_gpd(0.5, 1.0, xi, 0.125)
 
     def test_empirical_cdf_matches_truncated_law(self):
         # KS distance against (F(y) - F(y0)) / (1 - F(y0)) below 1.63/sqrt(N)
@@ -122,6 +132,11 @@ class TestSimulateDataset:
     def test_bad_threshold_is_named(self, y_trunc):
         with pytest.raises(ValueError, match=f"truncation threshold .* got {y_trunc}"):
             reference_config(n=300, reps=2, xi=0.25, y_trunc=y_trunc)
+
+    @pytest.mark.parametrize("xi", [float("nan"), float("inf"), float("-inf")])
+    def test_bad_shape_is_named(self, xi):
+        with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+            reference_config(n=300, reps=2, xi=xi)
 
 
 class TestCoverageStudy:
