@@ -34,8 +34,9 @@ __all__ = [
 class ResidualSet:
     """Residuals of the positive observations with their reference law.
 
-    ``theoretical_q`` holds unit-mean GPD quantiles at the plotting
-    positions ``(i - 0.5) / n`` matching the sorted residuals.
+    ``order`` is the stable sort order of ``residuals``, so ``ordered`` is
+    ``residuals[order]``; ``theoretical_q`` holds unit-mean GPD quantiles at
+    the plotting positions ``(i - 0.5) / n`` matching the sorted residuals.
     """
 
     residuals: np.ndarray
@@ -43,6 +44,7 @@ class ResidualSet:
     xi_hat: float
     ordered: np.ndarray
     theoretical_q: np.ndarray
+    order: np.ndarray
 
     @property
     def n_pos(self) -> int:
@@ -62,6 +64,7 @@ def _residual_set(y_pos, row_ids, mu_hat, xi_hat: float, y_trunc: float) -> Resi
         xi_hat=float(xi_hat),
         ordered=res[order],
         theoretical_q=np.asarray(theo, dtype=float),
+        order=order,
     )
 
 
@@ -98,10 +101,9 @@ def qq_data(rs: ResidualSet) -> dict[str, np.ndarray]:
     """
     if rs.n_pos < 2:
         raise ValueError("QQ data needs at least two positive residuals")
-    order = np.argsort(rs.residuals, kind="stable")
     with np.errstate(divide="ignore"):
         return {
-            "row_id": rs.row_ids[order],
+            "row_id": rs.row_ids[rs.order],
             "residual": rs.ordered,
             "empirical_q": rs.ordered,
             "theoretical_q": rs.theoretical_q,

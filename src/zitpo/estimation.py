@@ -7,7 +7,9 @@ trial point then costs one kernel pass: the zero rows through
 :func:`zitpo.model._pos_row_derivs`, each on its own rows; the value, the
 analytic score and the Hessian are all summed from that pass. Newton runs on
 (beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
-halved like any other. Convergence is judged on the Newton decrement, which
+halved like any other. An infeasible trial costs a support check, not a
+kernel pass: at xi < 0 a positive y at or past the support end reads -inf
+before either kernel runs. Convergence is judged on the Newton decrement, which
 covariate units do not move; a free shape near 1 ends the pass unconverged.
 A fixed shape is a frozen coordinate of that vector, outside the free block
 that Newton solves on. The reported log-likelihood is a compensated sum at
@@ -305,7 +307,17 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float):
     rows. Rows go through in blocks of ``_ROW_BLOCK``, so the kernels'
     temporaries take the same memory at any n. The log-likelihood is -inf
     when it, the score or the Hessian is not finite.
+
+    An infeasible trial costs a support check, not a kernel pass: at
+    ``xi < 0`` a positive row at or past the support end, x = xi*w <= -1,
+    makes the positive kernel's term non-finite, so the pass returns
+    ``(-inf, None, None)`` before either kernel runs. The positive rows'
+    eta2 blocks are formed once, for the check and the kernel alike.
     """
+    pos_blocks = range(0, rows.y_pos.size, _ROW_BLOCK)
+    eta2_pos = [b2 @ rows.x2_pos[:, lo : lo + _ROW_BLOCK] for lo in pos_blocks]
+    if xi < 0.0 and _beyond_support(rows.y_pos, eta2_pos, xi):
+        return -math.inf, None, None
     p1, p2 = rows.x1_zero.shape[0], rows.x2_zero.shape[0]
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
     k = p1 + p2 + 1
@@ -315,14 +327,14 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float):
 
     def add(a1, a2, t, g, h, coupled: bool):
         nonlocal loglik
-        loglik += float(np.sum(t))
+        loglik += float(t.sum())
         score[s1] += a1 @ g[0]
         score[s2] += a2 @ g[1]
-        score[-1] += np.sum(g[2])
+        score[-1] += g[2].sum()
         hess[s1, s1] += (a1 * h[0]) @ a1.T
         hess[s2, s2] += (a2 * h[3]) @ a2.T
         hess[s2, -1] += a2 @ h[4]
-        hess[-1, -1] += np.sum(h[5])
+        hess[-1, -1] += h[5].sum()
         if coupled:
             hess[s1, s2] += (a1 * h[1]) @ a2.T
             hess[s1, -1] += a1 @ h[2]
@@ -331,16 +343,29 @@ def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float):
         a1 = rows.x1_zero[:, lo : lo + _ROW_BLOCK]
         a2 = rows.x2_zero[:, lo : lo + _ROW_BLOCK]
         add(a1, a2, *_zero_row_derivs(b1 @ a1, b2 @ a2, xi, y_trunc), coupled=True)
-    for lo in range(0, rows.y_pos.size, _ROW_BLOCK):
+    for lo, eta2 in zip(pos_blocks, eta2_pos):
         a1 = rows.x1_pos[:, lo : lo + _ROW_BLOCK]
         a2 = rows.x2_pos[:, lo : lo + _ROW_BLOCK]
         y = rows.y_pos[lo : lo + _ROW_BLOCK]
-        add(a1, a2, *_pos_row_derivs(y, b1 @ a1, b2 @ a2, xi), coupled=False)
+        add(a1, a2, *_pos_row_derivs(y, b1 @ a1, eta2, xi), coupled=False)
     hess[s2, s1] = hess[s1, s2].T
     hess[-1, :-1] = hess[:-1, -1]
-    if not (math.isfinite(loglik) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
+    if not (math.isfinite(loglik) and np.isfinite(score).all() and np.isfinite(hess).all()):
         loglik = -math.inf
     return loglik, score, hess
+
+
+def _beyond_support(y_pos: np.ndarray, eta2_blocks, xi: float) -> bool:
+    """Whether some positive y lies at or past the support end of a
+    ``xi < 0`` fit: x = xi*w <= -1, formed by the expressions of
+    :func:`zitpo.model._pos_row_derivs` (an overflowing w reads x = -inf)."""
+    c = 1.0 / (1.0 - xi)
+    with np.errstate(over="ignore"):
+        for lo, eta2 in zip(range(0, y_pos.size, _ROW_BLOCK), eta2_blocks):
+            x = xi * (y_pos[lo : lo + _ROW_BLOCK] * np.exp(-eta2) * c)
+            if (x <= -1.0).any():
+                return True
+    return False
 
 
 def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVector:

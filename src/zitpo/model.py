@@ -276,6 +276,13 @@ def density_shifted(
 
 def predict(spec: ModelSpec, coef: CoefVector) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (pi_i, mu_i) from the linear predictors of both parts."""
+    eta1, eta2 = _linear_predictors(spec, coef)
+    return linkinv_logit(eta1), linkinv_log(eta2)
+
+
+def _linear_predictors(spec: ModelSpec, coef: CoefVector) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (eta1, eta2) = (X1 beta1, X2 beta2), after checking that the
+    coefficient vectors match the design columns."""
     if spec.x1.shape[1] != coef.beta1.shape[0]:
         raise ValueError(
             f"pi part: design has {spec.x1.shape[1]} columns, "
@@ -286,9 +293,7 @@ def predict(spec: ModelSpec, coef: CoefVector) -> tuple[np.ndarray, np.ndarray]:
             f"mu part: design has {spec.x2.shape[1]} columns, "
             f"coefficient vector has {coef.beta2.shape[0]}"
         )
-    pi = linkinv_logit(spec.x1 @ coef.beta1)
-    mu = linkinv_log(spec.x2 @ coef.beta2)
-    return pi, mu
+    return spec.x1 @ coef.beta1, spec.x2 @ coef.beta2
 
 
 def _loglik_terms(y: np.ndarray, pi, qi, mu, xi: float, y_trunc: float) -> np.ndarray:
@@ -411,8 +416,8 @@ def _zero_row_derivs(eta1, eta2, xi: float, y_trunc: float):
         rrq = rr * qi
         t = np.log(one_minus_q)
         g0 = -r * qi
-        g = np.stack([g0, r * m2, r * mx])
-        h = np.stack([
+        g = np.array([g0, r * m2, r * mx])
+        h = np.array([
             g0 * ((1.0 + r) * qi - pi),
             rrq * m2,
             rrq * mx,
@@ -437,7 +442,7 @@ def _pos_row_derivs(y, eta1, eta2, xi: float):
         w = y * np.exp(-eta2) * c
         _, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
         t = np.log(pi) - eta2 - np.log1p(-xi) - one_xi * m
-        g = np.stack([qi, -1.0 - one_xi * m2, c - m - one_xi * mx])
+        g = np.array([qi, -1.0 - one_xi * m2, c - m - one_xi * mx])
         h = np.zeros((6, y.size))
         h[0] = -pi * qi
         h[3] = -one_xi * m22
@@ -541,9 +546,10 @@ def log_likelihood(
     where the model puts no mass) raises.
     """
     y = _check_response(y, y_trunc, spec)
-    pi, mu = predict(spec, coef)
-    qi = expit(-(spec.x1 @ coef.beta1))
-    total = math.fsum(_loglik_terms(y, pi, qi, mu, coef.xi, y_trunc))
+    eta1, eta2 = _linear_predictors(spec, coef)
+    pi = linkinv_logit(eta1)
+    mu = linkinv_log(eta2)
+    total = math.fsum(_loglik_terms(y, pi, expit(-eta1), mu, coef.xi, y_trunc))
     if not np.isfinite(total):
         raise ValueError("log-likelihood is not finite for these coefficients")
     return total

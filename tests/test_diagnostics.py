@@ -134,6 +134,16 @@ class TestQqData:
         assert np.all(np.diff(table["theoretical_q"]) > 0.0)
         assert np.allclose(table["log_theoretical_q"], np.log(table["theoretical_q"]))
 
+    def test_row_ids_follow_the_stable_residual_order(self):
+        # tied residuals keep their row order, and each row id sits beside
+        # its own residual
+        y = np.array([0.0, 3.0, 2.0, 0.0, 3.0, 1.0, 2.0])
+        rs = residuals_from_params(y, 0.0, 1.0, 0.2)
+        assert np.array_equal(rs.residuals[rs.order], rs.ordered)
+        table = qq_data(rs)
+        assert np.array_equal(table["row_id"], [5, 2, 6, 1, 4])
+        assert np.array_equal(table["residual"], [1.0, 2.0, 2.0, 3.0, 3.0])
+
     def test_misspecified_shape_scores_lower(self):
         # paired comparison: the same xi=0.5 data fitted freely versus with
         # the shape frozen at zero; the frozen fit should look worse nearly

@@ -5,6 +5,7 @@ The LRT null calibration and Wald z studies come from the session-scoped
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from zitpo.estimation import (
     wald_test,
 )
 from zitpo.estimation import TestResult as InferenceResult
-from zitpo.model import CoefVector, ModelSpec, log_likelihood
+from zitpo.model import (
+    CoefVector,
+    ModelSpec,
+    _pos_row_derivs,
+    _zero_row_derivs,
+    log_likelihood,
+)
 from zitpo.simulation import SimConfig, reference_config, rtrunc_gpd, simulate_dataset
 
 
@@ -140,6 +147,52 @@ def natural_loglik(y, y_trunc, spec, fixed_xi=None):
     return f
 
 
+def support_shifts(rows, coef, xi):
+    """Per positive row, the mu-intercept shift at and below which the row
+    lies past the xi < 0 support end: xi*y/(mu*(1 - xi)) = -1."""
+    return np.log(rows.y_pos * -xi / (1.0 - xi)) - coef.beta2 @ rows.x2_pos
+
+
+def kernels_finite(rows, y_trunc, b1, b2, xi):
+    """Whether the per-kind kernels, summed over all rows with no support
+    check, give a finite value, score and Hessian."""
+    zero = _zero_row_derivs(b1 @ rows.x1_zero, b2 @ rows.x2_zero, xi, y_trunc)
+    pos = _pos_row_derivs(rows.y_pos, b1 @ rows.x1_pos, b2 @ rows.x2_pos, xi)
+    return all(np.isfinite(np.sum(a, axis=-1)).all() for a in zero + pos)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the fitter's calls into each per-kind kernel."""
+    calls = {"zero": 0, "pos": 0}
+
+    def counted(kind, kernel):
+        def wrapper(*args):
+            calls[kind] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(estimation, "_zero_row_derivs", counted("zero", _zero_row_derivs))
+    monkeypatch.setattr(estimation, "_pos_row_derivs", counted("pos", _pos_row_derivs))
+    return calls
+
+
+def sweep_point(rows, coef, xi, shift, calls):
+    """The pass at the mu intercept moved by ``shift``: 'infeasible' or
+    'feasible', checked against the kernels summed over all rows. An
+    infeasible pass runs neither kernel (``calls`` counts them)."""
+    b2 = coef.beta2 + np.array([shift, 0.0])
+    before = dict(calls)
+    out, score, hess = _score_hessian(rows, 0.125, coef.beta1, b2, xi)
+    assert (out == -math.inf) == (not kernels_finite(rows, 0.125, coef.beta1, b2, xi))
+    if out == -math.inf:
+        assert calls == before
+        return "infeasible"
+    assert np.isfinite(score).all() and np.isfinite(hess).all()
+    return "feasible"
+
+
 XI_GRID = [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7]
 
 
@@ -235,6 +288,50 @@ class TestAnalyticDerivatives:
         if fix_xi is not None:
             assert np.all(fit.cov[-1] == 0.0) and np.all(fit.cov[:, -1] == 0.0)
 
+    @pytest.mark.parametrize("xi", [-0.05, -0.3, -0.9])
+    def test_support_check_is_exact(self, xi, kernel_calls):
+        # the pass reads -inf exactly where the kernels over all rows are not
+        # finite, as the mu intercept moves the outermost positive y across the end
+        y, spec, coef = random_problem(xi, 0.125, 12)
+        rows = _split_rows(y, spec)
+        shifts = support_shifts(rows, coef, xi)
+        start = float(np.max(shifts))
+        sweep = start + np.concatenate([
+            np.linspace(-0.5, 0.5, 21),
+            [np.nextafter(0.0, -1.0), 0.0, np.nextafter(0.0, 1.0)],
+        ])
+        outcomes = [sweep_point(rows, coef, xi, s, kernel_calls) for s in sweep]
+        assert {"feasible", "infeasible"} == set(outcomes)
+
+    @pytest.mark.parametrize("xi", [-0.05, -0.3, -0.9])
+    def test_support_check_reaches_the_last_positive_block(self, xi, kernel_calls):
+        y, spec, coef = random_problem(xi, 0.125, 13, n=3 * estimation._ROW_BLOCK)
+        rows = _split_rows(y, spec)
+        assert rows.y_pos.size > estimation._ROW_BLOCK
+        # lift the last positive row half a unit of eta2 past every other one
+        shifts = support_shifts(rows, coef, xi)
+        last = rows.y_pos.size - 1
+        rows.y_pos[last] *= math.exp(np.max(shifts[:last]) + 0.5 - shifts[last])
+        shifts = support_shifts(rows, coef, xi)
+        assert np.argmax(shifts) == last
+        ahead = float(np.max(shifts[:last]))
+        for s in np.linspace(ahead + 0.05, shifts[last] - 0.05, 5):
+            # only the last block crosses: the rows before it are inside
+            assert np.all(shifts[:last] < s)
+            assert sweep_point(rows, coef, xi, s, kernel_calls) == "infeasible"
+        assert sweep_point(rows, coef, xi, ahead + 0.55, kernel_calls) == "feasible"
+
+    @pytest.mark.parametrize("xi", [-0.3, 0.25])
+    @pytest.mark.parametrize("eta2", [-700.0, 700.0])
+    def test_extreme_mu_predictor_raises_no_warning(self, xi, eta2):
+        y, spec, coef = random_problem(xi, 0.125, 14)
+        b2 = np.array([eta2, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, _, _ = _score_hessian(_split_rows(y, spec), 0.125, coef.beta1, b2, xi)
+        if xi < 0.0 and eta2 < 0.0:
+            assert out == -math.inf
+
     def test_score_vanishes_at_the_fit(self):
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=42)
         y, spec = simulate_dataset(cfg, 0)
@@ -292,6 +389,28 @@ class TestNewton:
         assert calls["terms"] == 1
         assert calls["passes"] <= 20
         assert calls["splits"] == 1
+
+    def test_infeasible_trials_run_no_kernel(self, kernel_calls, monkeypatch):
+        # a trial past a xi < 0 support end costs the support check alone;
+        # each feasible pass runs each kernel once (one block per kind here)
+        passes = {"all": 0, "feasible": 0}
+        real_pass = estimation._score_hessian
+
+        def counted_pass(*args):
+            out = real_pass(*args)
+            passes["all"] += 1
+            passes["feasible"] += math.isfinite(out[0])
+            return out
+
+        monkeypatch.setattr(estimation, "_score_hessian", counted_pass)
+        cfg = reference_config(n=1000, reps=40, xi=0.25, seed=801)
+        for rep in range(cfg.reps):
+            y, spec = simulate_dataset(cfg, rep)
+            assert fit_mle(y, cfg.y_trunc, spec).converged
+        assert kernel_calls["zero"] == kernel_calls["pos"] == passes["feasible"]
+        # 551 passes, 147 of them infeasible, when this was written; a kernel
+        # pass per trial point would make 551 calls per kind
+        assert passes["feasible"] <= 420 < passes["all"]
 
     def test_indefinite_information_still_gives_an_ascent_step(self):
         hess = np.diag([-4.0, 1.0, -1e-12])

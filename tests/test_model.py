@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+import zitpo.model as model
 from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
 from zitpo.model import (
@@ -279,6 +280,25 @@ class TestLogLikelihood:
             ll_pert = log_likelihood(y, cfg.y_trunc, spec, coef_b)
             truth_wins += ll_true > ll_pert
         assert truth_wins >= 95
+
+    def test_linear_predictors_are_formed_once(self, monkeypatch):
+        # one X1 beta1 serves both pi and 1 - pi; the value is the compensated
+        # sum of the row terms, to the last bit
+        y, spec = simulate_dataset(reference_config(n=1000, xi=0.25, seed=11), 0)
+        coef = CoefVector(beta1=np.full(6, 0.1), beta2=np.full(6, 0.2), xi=0.25)
+        calls = []
+        real = model._linear_predictors
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "_linear_predictors", counted)
+        got = log_likelihood(y, 0.125, spec, coef)
+        assert len(calls) == 1
+        eta1 = spec.x1 @ coef.beta1
+        mu = np.exp(spec.x2 @ coef.beta2)
+        assert got == math.fsum(_loglik_terms(y, expit(eta1), expit(-eta1), mu, 0.25, 0.125))
 
     def test_shape_branch_continuity(self):
         rng = np.random.default_rng(9)
