@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,9 +19,11 @@ import numpy as np
 from . import __version__
 from .data_io import ContrastSpec, read_csv, parse_formula, make_model_spec
 from .diagnostics import ks_statistic, qq_data, residuals
-from .estimation import FitResult, fit_mle, lrt, norm_sf
+from .estimation import XI_START, FitResult, fit_mle, lrt, norm_sf
 from .model import CoefVector
 from .simulation import (
+    REFERENCE_BETA1,
+    REFERENCE_BETA2,
     SimConfig,
     _num,
     coverage_study,
@@ -76,14 +79,46 @@ def _parse_factor(arg: str) -> ContrastSpec:
     return ContrastSpec(variable=name, kind=kind, base=base)
 
 
+def _parse_json(text: str, flag: str):
+    """JSON text with every number read as a float; bad JSON names the flag."""
+    try:
+        return json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag} is not valid JSON: {exc}") from None
+
+
+def _finite(v) -> bool:
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _float_list(value, what: str) -> tuple[float, ...]:
+    """A parsed JSON list of finite numbers as a tuple; anything else names ``what``."""
+    if not (isinstance(value, list) and all(_finite(v) for v in value)):
+        raise ValueError(f"{what} must be a JSON list of finite numbers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def _load_init(path: str) -> CoefVector:
+    """Starting coefficients from a JSON object with the number lists beta1
+    and beta2 and an optional shape xi (default ``XI_START``)."""
+    flag = f"--init {path}"
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _parse_json(fh.read(), flag)
+    if not (isinstance(raw, dict) and {"beta1", "beta2"} <= raw.keys()):
+        raise ValueError(f"{flag} must hold a JSON object with beta1, beta2 and optionally xi")
+    xi = raw.get("xi", XI_START)
+    if not (_finite(xi) and xi < 1.0):
+        raise ValueError(f"{flag}: xi must be a finite number below 1, got {json.dumps(xi)}")
     return CoefVector(
-        beta1=np.asarray(raw["beta1"], dtype=float),
-        beta2=np.asarray(raw["beta2"], dtype=float),
-        xi=float(raw.get("xi", 0.1)),
+        beta1=_float_list(raw["beta1"], f"{flag}: beta1"),
+        beta2=_float_list(raw["beta2"], f"{flag}: beta2"),
+        xi=xi,
     )
+
+
+def _coef_flag(text: str | None, flag: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    """The coefficients that --beta1 or --beta2 gives as a JSON list, or the default."""
+    return default if text is None else _float_list(_parse_json(text, flag), flag)
 
 
 def _read_model(
@@ -411,10 +446,8 @@ def cmd_coverage(args) -> int:
         cfg = SimConfig(
             n=args.n,
             reps=args.reps,
-            beta1=tuple(np.asarray(json.loads(args.beta1))) if args.beta1 else
-            reference_config().beta1,
-            beta2=tuple(np.asarray(json.loads(args.beta2))) if args.beta2 else
-            reference_config().beta2,
+            beta1=_coef_flag(args.beta1, "--beta1", REFERENCE_BETA1),
+            beta2=_coef_flag(args.beta2, "--beta2", REFERENCE_BETA2),
             xi=args.xi,
             y_trunc=args.trunc if args.trunc is not None else 0.125,
             seed=args.seed,

@@ -9,12 +9,13 @@ analytic score and the Hessian are all summed from that pass. Newton runs on
 (beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
 halved like any other. An infeasible trial costs a support check, not a
 kernel pass: at xi < 0 a positive y at or past the support end reads -inf
-before either kernel runs. Convergence is judged on the Newton decrement, which
-covariate units do not move; a free shape near 1 ends the pass unconverged.
-A fixed shape is a frozen coordinate of that vector, outside the free block
-that Newton solves on. The reported log-likelihood is a compensated sum at
-the optimum. Standard errors come from the observed information there: the
-free block of the negative of the Newton pass's last Hessian.
+before either kernel runs. A fixed shape is a frozen coordinate, outside the
+free block that Newton solves on. Each iteration factors the information -H
+on that block once, by Cholesky (LAPACK ``dposv``): the factor gives the step
+and the Newton decrement, which covariate units do not move. The pass
+converges when the decrement stop comes with a factor, which then gives the
+standard errors; a free shape near 1 ends it unconverged. The reported
+log-likelihood is a compensated sum at the optimum.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
@@ -23,11 +24,15 @@ and the package root does not export them.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.special import erfc, expit, gammaincc, ndtri
 
 from .model import (
@@ -51,6 +56,7 @@ __all__ = [
 
 GRAD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 HESS_STEP = float(np.finfo(float).eps) ** 0.25
+XI_START = 0.1  # starting shape when neither init nor fix_xi gives one
 
 
 def norm_sf(z: float) -> float:
@@ -202,18 +208,33 @@ _MAX_HALVINGS = 40
 _ROW_BLOCK = 4096
 
 
-def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Ascent direction (-H)^-1 g, and whether -H is positive definite; where
-    it is not (far from the optimum), its eigenvalues are replaced by their
-    absolute values, floored at 1e-8 of the largest, to keep an ascent step."""
-    info = -hess
-    try:
-        np.linalg.cholesky(info)
-        return np.linalg.solve(info, grad), True
-    except np.linalg.LinAlgError:
-        lam, vec = np.linalg.eigh(info)
-        floor = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
-        return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor)), False
+def _load_lapack():
+    """scipy's compiled LAPACK module, the one behind ``scipy.linalg.lapack``,
+    on its own: importing the scipy.linalg package for two routines would add
+    about 6 MB of resident memory, a tenth of a small fit's process."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
+
+
+def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascent direction (-H)^-1 g and the lower Cholesky factor of -H, from one
+    ``dposv``. Where -H is not positive definite (far from the optimum), the
+    factor is None and the eigenvalues of -H are taken absolute, floored."""
+    factor, step, info = lapack.dposv(-hess, grad, lower=1)
+    if info == 0:
+        return step, factor
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dposv rejected argument {-info}")
+    lam, vec = np.linalg.eigh(-hess)
+    floor = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
+    return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor)), None
 
 
 def _maximize_newton(evaluate, x0, free: np.ndarray):
@@ -231,9 +252,9 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
     unconverged after ``_MAX_ITER`` iterations, when no halved step is
     accepted, or when a free shape comes within ``_EDGE`` of 1.
 
-    Returns (x, Hessian, converged, iterations, trace), the Hessian at the
-    returned x and one (iteration, f, gradient max-norm) per iteration;
-    raises ValueError when x0 is not feasible.
+    Returns (x, factor, trace): the Cholesky factor of the free block of -H
+    at x when the pass converged, else None, and one (iteration, f, gradient
+    max-norm) per iteration; raises ValueError when x0 is not feasible.
     """
     x = np.asarray(x0, dtype=float)
     fx, g, H = evaluate(x)
@@ -241,32 +262,27 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
     block = np.ix_(free, free)
     trace: list[tuple[int, float, float]] = []
-    converged = False
-    it = 0
-    while it < _MAX_ITER:
-        step, definite = _newton_direction(g[free], H[block])
+    while len(trace) < _MAX_ITER:
+        step, factor = _newton_direction(g[free], H[block])
         decrement = float(g[free] @ step)
         if decrement < _DECREMENT_TOL:
-            converged = definite
-            break
+            return x, factor, tuple(trace)
         p = np.zeros_like(x)
         p[free] = step
-        flat = _FTOL * max(1.0, abs(fx))
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
             ft, gt, Ht = evaluate(xt)
-            if ft >= fx + _ARMIJO * alpha * decrement - flat:
+            if ft >= fx + _ARMIJO * alpha * decrement - _FTOL * max(1.0, abs(fx)):
                 break
             alpha *= 0.5
         else:
             break
-        it += 1
         x, fx, g, H = xt, ft, gt, Ht
-        trace.append((it, fx, float(np.max(np.abs(g[free])))))
+        trace.append((len(trace) + 1, fx, float(np.max(np.abs(g[free])))))
         if free[-1] and x[-1] > 1.0 - _EDGE:
             break
-    return x, H, converged, it, tuple(trace)
+    return x, None, tuple(trace)
 
 
 class _Rows(NamedTuple):
@@ -402,20 +418,17 @@ def fit_mle(
     init : CoefVector, optional
         Starting coefficients. Defaults to the logit of the positive
         fraction / log of the positive mean for the intercepts, zeros for
-        the remaining coefficients, and xi = 0.1 (or ``fix_xi``; below 0
+        the remaining coefficients, and ``XI_START`` (or ``fix_xi``; below 0
         the mu intercept is raised so every positive y is in the support).
     fix_xi : float, optional
         Freeze the shape at this value instead of estimating it; it
         overrides ``init.xi``.
 
-    One Newton pass on (beta1, beta2, xi) runs from the start, so the fit
-    is deterministic given (data, init, fix_xi); it converges when the
-    Newton decrement in the free coordinates falls below
-    ``_DECREMENT_TOL`` with the information there positive definite;
-    ``trace`` records each iteration. If it stops short of that
-    (``_MAX_ITER`` iterations, no halved step accepted, or a free shape
-    within ``_EDGE`` of 1), the result has ``converged=False`` and NaN
-    standard errors.
+    One Newton pass on (beta1, beta2, xi) runs from the start (see
+    :func:`_maximize_newton`), so the fit is deterministic given (data,
+    init, fix_xi); ``trace`` records each iteration. A pass that stops
+    without the Cholesky factor of a positive definite information has
+    ``converged=False`` and NaN standard errors.
     """
     y = _check_response(y, y_trunc, spec)
     n_pos = int(np.sum(y > 0.0))
@@ -434,7 +447,7 @@ def fit_mle(
     _check_rank(spec.x2, spec.names2)
 
     if init is None:
-        init = _default_start(y, spec, 0.1 if fix_xi is None else fix_xi)
+        init = _default_start(y, spec, XI_START if fix_xi is None else fix_xi)
     if init.beta1.size != p1 or init.beta2.size != p2:
         raise ValueError("starting coefficients do not match the design dimensions")
 
@@ -447,7 +460,8 @@ def fit_mle(
 
     theta0 = np.concatenate([init.beta1, init.beta2, [init.xi if fix_xi is None else fix_xi]])
     free = np.append(np.ones(p1 + p2, dtype=bool), fix_xi is None)
-    xhat, hess, converged, iterations, trace = _maximize_newton(evaluate, theta0, free)
+    xhat, factor, trace = _maximize_newton(evaluate, theta0, free)
+    converged = factor is not None
     b1, b2, xi = xhat[:p1], xhat[p1:-1], float(xhat[-1])
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
     # the reported value is a compensated sum, so it does not depend on blocking
@@ -457,21 +471,19 @@ def fit_mle(
             _loglik_terms(y, expit(eta1), expit(-eta1), np.exp(spec.x2 @ b2), xi, y_trunc)
         )
 
-    k = theta0.size
-    cov = np.zeros((k, k)) if converged else np.full((k, k), np.nan)
+    cov = np.full((theta0.size,) * 2, 0.0 if converged else np.nan)
     if converged:
-        cov[np.ix_(free, free)] = _covariance(-hess[np.ix_(free, free)])
-    se = np.sqrt(np.diag(cov))
+        cov[np.ix_(free, free)] = _covariance(factor)
 
     return FitResult(
         coef=coef,
-        se=se,
+        se=np.sqrt(np.diag(cov)),
         cov=cov,
         loglik=loglik,
         n_zero=n_zero,
         n_pos=n_pos,
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace),
         names1=spec.names1,
         names2=spec.names2,
         y_trunc=float(y_trunc),
@@ -480,10 +492,17 @@ def fit_mle(
     )
 
 
-def _covariance(info: np.ndarray) -> np.ndarray:
-    """Inverse of the observed information (a converged pass has shown it
-    to be positive definite)."""
-    return np.linalg.inv(info)
+def _covariance(factor: np.ndarray) -> np.ndarray:
+    """Inverse of the information from its lower Cholesky factor: ``dpotri``
+    fills the lower triangle (it cannot fail on a positive diagonal)."""
+    inv, _ = lapack.dpotri(factor, lower=1)
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
+def _check_level(level: float) -> None:
+    """Raise unless the confidence level lies in (0, 1)."""
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"level must lie in (0, 1), got {level}")
 
 
 def confidence_interval(fit: FitResult, level: float = 0.95) -> np.ndarray:
@@ -491,8 +510,7 @@ def confidence_interval(fit: FitResult, level: float = 0.95) -> np.ndarray:
     parameter in (beta1, beta2, xi) order."""
     if not fit.converged:
         raise ValueError("confidence intervals require a converged fit")
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     z = norm_ppf((1.0 + level) / 2.0)
     est = fit.estimates
     return np.column_stack([est - z * fit.se, est + z * fit.se])

@@ -37,6 +37,12 @@ XI_TOL = 1e-8
 _BOUNDARY_RTOL = 1e-12
 
 
+def _check_shape(xi: float) -> None:
+    """Raise unless the shape is finite and below 1, where the mean exists."""
+    if not (np.isfinite(xi) and xi < 1.0):
+        raise ValueError(f"xi must be finite and < 1, got {xi}")
+
+
 @dataclass(frozen=True)
 class GpdScale:
     """Location/scale/shape parameters of a generalized Pareto distribution.
@@ -87,8 +93,7 @@ class GpdMean:
     def __post_init__(self) -> None:
         if not np.isfinite(self.mu) or self.mu <= 0.0:
             raise ValueError(f"mean mu must be positive and finite, got {self.mu}")
-        if not np.isfinite(self.xi) or self.xi >= 1.0:
-            raise ValueError(f"shape xi must be < 1 for the mean to exist, got {self.xi}")
+        _check_shape(self.xi)
 
     def to_scale(self) -> GpdScale:
         return GpdScale(tau=self.mu * (1.0 - self.xi), xi=self.xi, alpha=0.0)
@@ -97,8 +102,7 @@ class GpdMean:
     def from_scale(cls, p: GpdScale) -> "GpdMean":
         if p.alpha != 0.0:
             raise ValueError("GpdMean is defined for zero-located distributions only")
-        if p.xi >= 1.0:
-            raise ValueError(f"mean does not exist for xi >= 1, got {p.xi}")
+        _check_shape(p.xi)
         return cls(mu=p.tau / (1.0 - p.xi), xi=p.xi)
 
 
@@ -202,13 +206,9 @@ def gpd_quantile(q, p: GpdScale | GpdMean):
 
 
 def mean_quantile_level(xi: float) -> float:
-    """Probability level at which the mean of a GPD sits, ``1 - (1-xi)**(1/xi)``.
-
-    Independent of the mean itself; the ``xi -> 0`` limit is ``1 - 1/e``.
-    Requires ``xi < 1``.
-    """
-    if not np.isfinite(xi) or xi >= 1.0:
-        raise ValueError(f"mean quantile level requires xi < 1, got {xi}")
+    """Probability level at which the mean of a GPD (xi < 1) sits,
+    ``1 - (1-xi)**(1/xi)``; the ``xi -> 0`` limit is ``1 - 1/e``."""
+    _check_shape(xi)
     if abs(xi) < XI_TOL:
         return float(-np.expm1(-1.0))
     return float(-np.expm1(np.log1p(-xi) / xi))

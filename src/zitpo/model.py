@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .gpd import XI_TOL
+from .gpd import XI_TOL, _check_shape
 
 __all__ = [
     "ZitpoParams",
@@ -504,12 +504,6 @@ def _redundant_columns(scaled: np.ndarray, norm: np.ndarray, names) -> list:
         else:
             offenders.append(name)
     return offenders
-
-
-def _check_shape(xi: float) -> None:
-    """Raise unless the shape is finite and below 1."""
-    if not (math.isfinite(xi) and xi < 1.0):
-        raise ValueError(f"xi must be finite and < 1, got {xi}")
 
 
 def _check_threshold(y_trunc: float) -> None:

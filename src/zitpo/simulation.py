@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import confidence_interval, fit_mle
-from .gpd import XI_TOL
-from .model import CoefVector, ModelSpec, _check_shape, _check_threshold, predict
+from .estimation import _check_level, confidence_interval, fit_mle
+from .gpd import XI_TOL, _check_shape
+from .model import CoefVector, ModelSpec, _check_threshold, predict
 
 __all__ = [
     "SimConfig",
@@ -102,8 +102,7 @@ class SimConfig:
                 "coefficient length must be one intercept plus one entry per "
                 "recipe column"
             )
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
 
     @property
     def truth(self) -> np.ndarray:

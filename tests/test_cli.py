@@ -154,6 +154,28 @@ class TestFit:
         assert code == 0
         assert json.loads(out.read_text())["fit"]["converged"] is True
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"beta1": [-0.4], "beta2": [1.6], "xi": null}', ": xi must be a finite number below 1"),
+        ('{"beta1": [-0.4], "beta2": [1.6], "xi": 1}', ": xi must be a finite number below 1"),
+        ("[-0.4, 1.6]", " must hold a JSON object with beta1, beta2 and optionally xi"),
+        ('{"beta2": [1.6]}', " must hold a JSON object with beta1, beta2 and optionally xi"),
+        ('{"beta1": -0.4, "beta2": [1.6]}', ": beta1 must be a JSON list of finite numbers"),
+        ('{"beta1": [-0.4], "beta2": [NaN]}', ": beta2 must be a JSON list of finite numbers"),
+        ('{"beta1": [-0.4], "beta2": [1.6', " is not valid JSON"),
+    ], ids=["xi-null", "xi-one", "list", "no-beta1", "beta1-scalar", "beta2-nan", "not-json"])
+    def test_malformed_init_file_is_named(
+        self, tmp_path, bernoulli_exp_csv, capsys, text, problem
+    ):
+        path, _ = bernoulli_exp_csv
+        init = tmp_path / "init.json"
+        init.write_text(text)
+        code = main(["fit", "--data", path, "--response", "y", "--trunc", "0",
+                     "--init", str(init)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: --init {init}{problem}" in err
+        assert "Traceback" not in err
+
     def test_trace_flag_adds_one_entry_per_iteration(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         fits = {}
@@ -502,6 +524,29 @@ class TestCoverage:
         assert code == 1
         assert f"{flag} does not apply to --preset reference" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--beta1", "--beta2"])
+    @pytest.mark.parametrize("value, problem", [
+        ("5", "must be a JSON list of finite numbers, got 5.0"),
+        ('{"a": 1}', "must be a JSON list of finite numbers, got {\"a\": 1.0}"),
+        ("[1, true, 0, 0, 0, 0]", "must be a JSON list of finite numbers"),
+        ("[1, 2", "is not valid JSON"),
+    ], ids=["scalar", "object", "bool", "not-json"])
+    def test_malformed_coefficient_flag_is_named(self, capsys, flag, value, problem):
+        code = main(["coverage", "--n", "50", "--reps", "2", "--xi", "0.25", flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {flag} {problem}" in err
+        assert "Traceback" not in err
+
+    def test_coefficient_flags_default_to_the_reference_design(self, tmp_path):
+        # integers in the JSON list read as the same floats
+        argv = ["coverage", "--n", "300", "--reps", "2", "--xi", "0.25", "--seed", "3"]
+        given = ["--beta1", "[1, 1, -0.5, 0.5, 0.25, 0.25]",
+                 "--beta2", "[2, 1, 0.5, 0.5, 0.25, 0.25]"]
+        assert main(argv + ["--out", str(tmp_path / "default.json")]) == 0
+        assert main(argv + given + ["--out", str(tmp_path / "given.json")]) == 0
+        assert (tmp_path / "default.json").read_text() == (tmp_path / "given.json").read_text()
 
     def test_report_text_is_to_json_on_file_and_stdout(self, tmp_path, capsys):
         cfg = reference_config(n=400, reps=3, xi=0.25, seed=5)

@@ -10,7 +10,7 @@ from scipy.special import expit
 
 import zitpo.model as model
 from zitpo.estimation import numeric_gradient, numeric_hessian
-from zitpo.gpd import GpdMean, gpd_cdf, gpd_pdf
+from zitpo.gpd import GpdMean, GpdScale, gpd_cdf, gpd_pdf, mean_quantile_level
 from zitpo.model import (
     _SERIES_X,
     _check_rank,
@@ -617,6 +617,23 @@ class TestTypes:
             ZitpoParams(pi=0.5, mu=1.0, xi=xi)
         with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
             CoefVector(beta1=[0.0], beta2=[0.0], xi=xi)
+        with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+            GpdMean(mu=1.0, xi=xi)
+        with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+            mean_quantile_level(xi)
+
+    @pytest.mark.parametrize("xi", [1.0, 2.5])
+    def test_shape_without_a_mean_is_rejected_by_one_rule(self, xi):
+        # the model types and the gpd entry points share one message
+        for make in (
+            lambda: ZitpoParams(pi=0.5, mu=1.0, xi=xi),
+            lambda: CoefVector(beta1=[0.0], beta2=[0.0], xi=xi),
+            lambda: GpdMean(mu=1.0, xi=xi),
+            lambda: GpdMean.from_scale(GpdScale(tau=1.0, xi=xi)),
+            lambda: mean_quantile_level(xi),
+        ):
+            with pytest.raises(ValueError, match=f"xi must be finite and < 1, got {xi}"):
+                make()
 
     @pytest.mark.parametrize("y_trunc", [-0.5, math.nan, math.inf])
     def test_zitpo_params_threshold_is_named(self, y_trunc):
