@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -98,6 +99,13 @@ def _float_list(value, what: str) -> tuple[float, ...]:
     return tuple(value)
 
 
+def _shape_value(value, what: str) -> float:
+    """A parsed JSON shape, which must be a finite number below 1; anything else names ``what``."""
+    if not (_finite(value) and value < 1.0):
+        raise ValueError(f"{what} must be a finite number below 1, got {json.dumps(value)}")
+    return value
+
+
 def _load_init(path: str) -> CoefVector:
     """Starting coefficients from a JSON object with the number lists beta1
     and beta2 and an optional shape xi (default ``XI_START``)."""
@@ -106,13 +114,10 @@ def _load_init(path: str) -> CoefVector:
         raw = _parse_json(fh.read(), flag)
     if not (isinstance(raw, dict) and {"beta1", "beta2"} <= raw.keys()):
         raise ValueError(f"{flag} must hold a JSON object with beta1, beta2 and optionally xi")
-    xi = raw.get("xi", XI_START)
-    if not (_finite(xi) and xi < 1.0):
-        raise ValueError(f"{flag}: xi must be a finite number below 1, got {json.dumps(xi)}")
     return CoefVector(
         beta1=_float_list(raw["beta1"], f"{flag}: beta1"),
         beta2=_float_list(raw["beta2"], f"{flag}: beta2"),
-        xi=xi,
+        xi=_shape_value(raw.get("xi", XI_START), f"{flag}: xi"),
     )
 
 
@@ -327,49 +332,67 @@ def cmd_lrt(args) -> int:
     return 0
 
 
-def _fit_from_report(report: dict) -> FitResult:
-    """The stored fit of a ``zitpo fit`` report; a ``null`` SE becomes NaN."""
-    fit_part = report["fit"]
-    se = np.array(
-        [r["se"] for r in fit_part["pi_part"] + fit_part["mu_part"]]
-        + [fit_part["xi"]["se"]],
-        dtype=float,
-    )
-    coef = CoefVector(
-        beta1=np.array([r["estimate"] for r in fit_part["pi_part"]]),
-        beta2=np.array([r["estimate"] for r in fit_part["mu_part"]]),
-        xi=fit_part["xi"]["estimate"],
-    )
-    return FitResult(
-        coef=coef,
-        se=se,
-        cov=np.full((se.size, se.size), np.nan),
-        loglik=fit_part["loglik"],
-        n_zero=report["data"]["n_zero"],
-        n_pos=report["data"]["n_pos"],
-        converged=fit_part["converged"],
-        iterations=fit_part["iterations"],
-        names1=tuple(r["name"] for r in fit_part["pi_part"]),
-        names2=tuple(r["name"] for r in fit_part["mu_part"]),
-        y_trunc=report["model"]["y_trunc"],
-        xi_fixed=fit_part["xi"]["fixed"],
-    )
+def _not_a_report(flag: str, exc: Exception) -> ValueError:
+    return ValueError(f"{flag} does not hold a zitpo fit report ({type(exc).__name__}: {exc})")
 
 
-def cmd_diagnose(args) -> int:
-    if args.report:
-        with open(args.report, encoding="utf-8") as fh:
-            report = json.load(fh)
+def _fit_from_report(report, flag: str = "--report") -> FitResult:
+    """The stored fit of a ``zitpo fit`` report; a ``null`` SE becomes NaN.
+    A report of another shape raises ValueError naming ``flag``."""
+    try:
+        fit_part, data = report["fit"], report["data"]
+        pi_part, mu_part, xi = fit_part["pi_part"], fit_part["mu_part"], fit_part["xi"]
+        se = [r["se"] for r in pi_part + mu_part] + [xi["se"]]
+        if not all(s is None or _finite(s) for s in se):
+            raise ValueError(f"{flag}: every se must be a finite number or null")
+        coef = CoefVector(
+            beta1=_float_list([r["estimate"] for r in pi_part], f"{flag}: fit.pi_part estimates"),
+            beta2=_float_list([r["estimate"] for r in mu_part], f"{flag}: fit.mu_part estimates"),
+            xi=_shape_value(xi["estimate"], f"{flag}: fit.xi.estimate"),
+        )
+        se = np.array(se, dtype=float)
+        return FitResult(
+            coef=coef,
+            se=se,
+            cov=np.full((se.size, se.size), np.nan),
+            loglik=fit_part["loglik"],
+            n_zero=int(data["n_zero"]),
+            n_pos=int(data["n_pos"]),
+            converged=fit_part["converged"],
+            iterations=int(fit_part["iterations"]),
+            names1=tuple(r["name"] for r in pi_part),
+            names2=tuple(r["name"] for r in mu_part),
+            y_trunc=report["model"]["y_trunc"],
+            xi_fixed=xi["fixed"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise _not_a_report(flag, exc) from None
+
+
+def _model_from_report(report, flag: str) -> tuple:
+    """The arguments of :func:`_read_model` after the CSV path that a
+    ``zitpo fit`` report stores; another shape raises ValueError naming ``flag``."""
+    try:
         model = report["model"]
         factors = tuple(
             ContrastSpec(variable=f["variable"], kind=f["kind"], base=f["base"])
             for f in model["factors"]
         )
-        ds, spec, _ = _read_model(
-            args.data, model["response"], model["y_trunc"], factors,
+        return (
+            model["response"], model["y_trunc"], factors,
             model["pi_formula"], model["mu_formula"], model["levels"],
         )
-        fit = _fit_from_report(report)
+    except (KeyError, TypeError) as exc:
+        raise _not_a_report(flag, exc) from None
+
+
+def cmd_diagnose(args) -> int:
+    if args.report:
+        flag = f"--report {args.report}"
+        with open(args.report, encoding="utf-8") as fh:
+            report = _parse_json(fh.read(), flag)
+        fit = _fit_from_report(report, flag)
+        ds, spec, _ = _read_model(args.data, *_model_from_report(report, flag))
         if not fit.converged:
             print("error: stored fit did not converge", file=sys.stderr)
             return 2
@@ -425,6 +448,10 @@ def cmd_coverage(args) -> int:
         if getattr(args, dest) is not None:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} does not apply to --preset {args.preset}")
+    for dest in ("n", "reps"):
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            raise ValueError(f"--{dest} must be at least 1, got {value}")
     if args.preset == "reference-grid":
         cells = reference_grid(args.seed)
         if args.reps is not None:
@@ -434,8 +461,8 @@ def cmd_coverage(args) -> int:
         return 0
     if args.preset == "reference":
         cfg = reference_config(
-            n=args.n or 2000,
-            reps=args.reps or 2500,
+            n=2000 if args.n is None else args.n,
+            reps=2500 if args.reps is None else args.reps,
             xi=args.xi if args.xi is not None else 0.25,
             seed=args.seed,
             y_trunc=args.trunc if args.trunc is not None else 0.125,
@@ -469,7 +496,10 @@ def cmd_coverage(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then reused: argparse copies
+    each default (the ``--factor`` list too) into every parse's namespace."""
     parser = argparse.ArgumentParser(
         prog="zitpo",
         description="Zero-inflated truncated generalized Pareto modeling",

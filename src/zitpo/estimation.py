@@ -1,21 +1,20 @@
 """Maximum-likelihood fitting and Wald / likelihood-ratio inference.
 
-The likelihood is maximized by Newton's method with step halving. The rows
-are split into zero and positive rows once per fit, since y is fixed. Each
-trial point then costs one kernel pass: the zero rows through
-:func:`zitpo.model._zero_row_derivs` and the positive rows through
-:func:`zitpo.model._pos_row_derivs`, each on its own rows; the value, the
-analytic score and the Hessian are all summed from that pass. Newton runs on
-(beta1, beta2, xi) itself; a trial step to xi >= 1 is infeasible and is
-halved like any other. An infeasible trial costs a support check, not a
-kernel pass: at xi < 0 a positive y at or past the support end reads -inf
-before either kernel runs. A fixed shape is a frozen coordinate, outside the
-free block that Newton solves on. Each iteration factors the information -H
-on that block once, by Cholesky (LAPACK ``dposv``): the factor gives the step
-and the Newton decrement, which covariate units do not move. The pass
-converges when the decrement stop comes with a factor, which then gives the
-standard errors; a free shape near 1 ends it unconverged. The reported
-log-likelihood is a compensated sum at the optimum.
+The likelihood is maximized by Newton's method with step halving. A fit
+stores its rows once, zero rows first, since y is fixed. Each trial point
+then costs one kernel pass: one call of :func:`zitpo.model._row_derivs` per
+row block evaluates both row kinds, and the value, the analytic score and
+the Hessian are all summed from that pass. Newton runs on (beta1, beta2, xi)
+itself; a trial step to xi >= 1 is infeasible and is halved like any other.
+An infeasible trial costs a support check, not a kernel pass: at xi < 0 a
+positive y at or past the support end reads -inf before the kernel runs. A
+fixed shape is a frozen coordinate, outside the free block that Newton
+solves on. Each iteration factors the information -H on that block once, by
+Cholesky (LAPACK ``dposv``): the factor gives the step and the Newton
+decrement, which covariate units do not move. The pass converges when the
+decrement stop comes with a factor, which then gives the standard errors; a
+free shape near 1 ends it unconverged. The reported log-likelihood is a
+compensated sum at the optimum.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
@@ -41,8 +40,7 @@ from .model import (
     _check_rank,
     _check_response,
     _loglik_terms,
-    _pos_row_derivs,
-    _zero_row_derivs,
+    _row_derivs,
 )
 
 __all__ = [
@@ -286,102 +284,96 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
 
 
 class _Rows(NamedTuple):
-    """A fit's rows split by kind: the zero rows' designs, and the positive
-    rows' responses and designs. Each design is stored transposed (p x n,
-    C order), the layout in which the blocked products run fastest."""
+    """A fit's rows, zero rows first: ``n_zero`` of them, then the positive
+    rows. ``v`` is y_trunc on a zero row and y on a positive row, the value
+    that the row's w = v/sigma is formed from. The designs are stored
+    transposed (p x n, C order), the layout in which the blocked products
+    run fastest; ``x2`` is ``x1`` when both parts share a design."""
 
-    x1_zero: np.ndarray
-    x2_zero: np.ndarray
-    y_pos: np.ndarray
-    x1_pos: np.ndarray
-    x2_pos: np.ndarray
-
-
-def _split_rows(y: np.ndarray, spec: ModelSpec) -> _Rows:
-    """Partition y, X1 and X2 into zero and positive rows; the fitter does
-    this once, since y does not change during a fit."""
-    zero = y == 0.0
-    pos = ~zero
-    return _Rows(
-        np.ascontiguousarray(spec.x1.T[:, zero]),
-        np.ascontiguousarray(spec.x2.T[:, zero]),
-        y[pos],
-        np.ascontiguousarray(spec.x1.T[:, pos]),
-        np.ascontiguousarray(spec.x2.T[:, pos]),
-    )
+    n_zero: int
+    v: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
 
 
-def _score_hessian(rows: _Rows, y_trunc: float, b1, b2, xi: float):
+def _split_rows(y: np.ndarray, y_trunc: float, spec: ModelSpec) -> _Rows:
+    """Order y, X1 and X2 zero rows first; the fitter does this once, since
+    y does not change during a fit. A design that both parts share is
+    stored once."""
+    positive = y > 0.0
+    order = np.argsort(positive, kind="stable")
+    n_zero = y.size - int(np.count_nonzero(positive))
+    v = y[order]
+    v[:n_zero] = y_trunc
+    x1 = spec.x1.T.take(order, axis=1)
+    x2 = x1 if spec.x2 is spec.x1 else spec.x2.T.take(order, axis=1)
+    return _Rows(n_zero, v, x1, x2)
+
+
+def _score_hessian(rows: _Rows, b1, b2, xi: float):
     """Log-likelihood, analytic score and Hessian in (beta1, beta2, xi) from
     one kernel pass.
 
-    Each row kind goes through its own kernel on its own rows. The per-row
-    terms are summed, and their derivatives with respect to
-    (eta1, eta2, xi) are summed into ``X1'g1``, ``X2'g2`` and blocks
-    ``X'(w*X)``; no per-row matrix is formed. The eta1 cross blocks come
-    from the zero rows alone, since they are identically zero on positive
-    rows. Rows go through in blocks of ``_ROW_BLOCK``, so the kernels'
-    temporaries take the same memory at any n. The log-likelihood is -inf
-    when it, the score or the Hessian is not finite.
+    eta1 and eta2 are formed for all rows by one product each. The rows go
+    through :func:`zitpo.model._row_derivs` in blocks of ``_ROW_BLOCK``, one
+    call per block for both row kinds, so the kernel's temporaries take the
+    same memory at any n. Each block's terms are summed, and their
+    derivatives with respect to (eta1, eta2, xi) are summed into ``X1'g1``,
+    ``X2'g2`` and blocks ``X'(w*X)``; no per-row matrix is formed. The eta1
+    cross blocks come from the block's zero rows alone, since they are
+    identically zero on positive rows. The log-likelihood is -inf when it,
+    the score or the Hessian is not finite.
 
     An infeasible trial costs a support check, not a kernel pass: at
     ``xi < 0`` a positive row at or past the support end, x = xi*w <= -1,
-    makes the positive kernel's term non-finite, so the pass returns
-    ``(-inf, None, None)`` before either kernel runs. The positive rows'
-    eta2 blocks are formed once, for the check and the kernel alike.
+    makes its term non-finite, so the pass returns ``(-inf, None, None)``
+    before the kernel runs. The check and the kernel share eta2.
     """
-    pos_blocks = range(0, rows.y_pos.size, _ROW_BLOCK)
-    eta2_pos = [b2 @ rows.x2_pos[:, lo : lo + _ROW_BLOCK] for lo in pos_blocks]
-    if xi < 0.0 and _beyond_support(rows.y_pos, eta2_pos, xi):
+    n_zero, n = rows.n_zero, rows.v.size
+    eta2 = b2 @ rows.x2
+    if xi < 0.0 and _beyond_support(rows.v[n_zero:], eta2[n_zero:], xi):
         return -math.inf, None, None
-    p1, p2 = rows.x1_zero.shape[0], rows.x2_zero.shape[0]
+    eta1 = b1 @ rows.x1
+    parts = []
+    for lo in range(0, n, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        nz = min(max(n_zero - lo, 0), _ROW_BLOCK)
+        a1, a2 = rows.x1[:, block], rows.x2[:, block]
+        z1, z2 = a1[:, :nz], a2[:, :nz]
+        t, g, h = _row_derivs(rows.v[block], nz, eta1[block], eta2[block], xi)
+        parts.append((
+            float(t.sum()), a1 @ g[0], a2 @ g[1], g[2].sum(),
+            (a1 * h[0]) @ a1.T, (z1 * h[1, :nz]) @ z2.T, z1 @ h[2, :nz],
+            (a2 * h[3]) @ a2.T, a2 @ h[4], h[5].sum(),
+        ))
+    loglik, sc1, sc2, sc3, h11, h12, h13, h22, h23, h33 = (
+        parts[0] if len(parts) == 1 else map(sum, zip(*parts))
+    )
+    p1, p2 = b1.size, b2.size
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
-    k = p1 + p2 + 1
-    loglik = 0.0
-    score = np.zeros(k)
-    hess = np.zeros((k, k))
-
-    def add(a1, a2, t, g, h, coupled: bool):
-        nonlocal loglik
-        loglik += float(t.sum())
-        score[s1] += a1 @ g[0]
-        score[s2] += a2 @ g[1]
-        score[-1] += g[2].sum()
-        hess[s1, s1] += (a1 * h[0]) @ a1.T
-        hess[s2, s2] += (a2 * h[3]) @ a2.T
-        hess[s2, -1] += a2 @ h[4]
-        hess[-1, -1] += h[5].sum()
-        if coupled:
-            hess[s1, s2] += (a1 * h[1]) @ a2.T
-            hess[s1, -1] += a1 @ h[2]
-
-    for lo in range(0, rows.x1_zero.shape[1], _ROW_BLOCK):
-        a1 = rows.x1_zero[:, lo : lo + _ROW_BLOCK]
-        a2 = rows.x2_zero[:, lo : lo + _ROW_BLOCK]
-        add(a1, a2, *_zero_row_derivs(b1 @ a1, b2 @ a2, xi, y_trunc), coupled=True)
-    for lo, eta2 in zip(pos_blocks, eta2_pos):
-        a1 = rows.x1_pos[:, lo : lo + _ROW_BLOCK]
-        a2 = rows.x2_pos[:, lo : lo + _ROW_BLOCK]
-        y = rows.y_pos[lo : lo + _ROW_BLOCK]
-        add(a1, a2, *_pos_row_derivs(y, b1 @ a1, eta2, xi), coupled=False)
-    hess[s2, s1] = hess[s1, s2].T
-    hess[-1, :-1] = hess[:-1, -1]
-    if not (math.isfinite(loglik) and np.isfinite(score).all() and np.isfinite(hess).all()):
+    # the Hessian and, in its last row, the score: one finiteness check
+    out = np.empty((p1 + p2 + 2, p1 + p2 + 1))
+    hess, score = out[:-1], out[-1]
+    score[s1], score[s2], score[-1] = sc1, sc2, sc3
+    hess[s1, s1] = h11
+    hess[s1, s2] = h12
+    hess[s2, s1] = h12.T
+    hess[s2, s2] = h22
+    hess[s1, -1] = hess[-1, s1] = h13
+    hess[s2, -1] = hess[-1, s2] = h23
+    hess[-1, -1] = h33
+    if not (math.isfinite(loglik) and np.isfinite(out).all()):
         loglik = -math.inf
     return loglik, score, hess
 
 
-def _beyond_support(y_pos: np.ndarray, eta2_blocks, xi: float) -> bool:
+def _beyond_support(y_pos: np.ndarray, eta2_pos: np.ndarray, xi: float) -> bool:
     """Whether some positive y lies at or past the support end of a
     ``xi < 0`` fit: x = xi*w <= -1, formed by the expressions of
-    :func:`zitpo.model._pos_row_derivs` (an overflowing w reads x = -inf)."""
-    c = 1.0 / (1.0 - xi)
+    :func:`zitpo.model._row_derivs` (an overflowing w reads x = -inf)."""
     with np.errstate(over="ignore"):
-        for lo, eta2 in zip(range(0, y_pos.size, _ROW_BLOCK), eta2_blocks):
-            x = xi * (y_pos[lo : lo + _ROW_BLOCK] * np.exp(-eta2) * c)
-            if (x <= -1.0).any():
-                return True
-    return False
+        x = xi * (y_pos * np.exp(-eta2_pos) * (1.0 / (1.0 - xi)))
+    return bool((x <= -1.0).any())
 
 
 def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVector:
@@ -444,19 +436,20 @@ def fit_mle(
             f"coefficients plus the shape, got {n_pos}"
         )
     _check_rank(spec.x1, spec.names1)
-    _check_rank(spec.x2, spec.names2)
+    if spec.x2 is not spec.x1:
+        _check_rank(spec.x2, spec.names2)
 
     if init is None:
         init = _default_start(y, spec, XI_START if fix_xi is None else fix_xi)
     if init.beta1.size != p1 or init.beta2.size != p2:
         raise ValueError("starting coefficients do not match the design dimensions")
 
-    rows = _split_rows(y, spec)
+    rows = _split_rows(y, y_trunc, spec)
 
     def evaluate(theta: np.ndarray):
         if theta[-1] >= 1.0:
             return -math.inf, None, None
-        return _score_hessian(rows, y_trunc, theta[:p1], theta[p1:-1], float(theta[-1]))
+        return _score_hessian(rows, theta[:p1], theta[p1:-1], float(theta[-1]))
 
     theta0 = np.concatenate([init.beta1, init.beta2, [init.xi if fix_xi is None else fix_xi]])
     free = np.append(np.ones(p1 + p2, dtype=bool), fix_xi is None)

@@ -334,11 +334,13 @@ def _phi_series(x):
     return _SERIES_COEF.T @ powers
 
 
-def _phi_closed(x):
-    """(phi, phi', phi'') from log1p, for |x| >= _SERIES_X."""
+def _phi_closed(x, opx):
+    """(phi, phi', phi'') from log1p, for |x| >= _SERIES_X; opx = 1 + x."""
     lg = np.log1p(x)
-    num = x / (1.0 + x) - lg
-    return lg / x, num / x**2, -1.0 / (x * (1.0 + x) ** 2) - 2.0 * num / x**3
+    xx = x * x
+    num = x / opx - lg
+    # xx * x, not x**3: numpy's power has a fast path for squares only
+    return lg / x, num / xx, -1.0 / (x * opx**2) - 2.0 * num / (xx * x)
 
 
 def _m_derivs(w, xi: float, c: float):
@@ -348,22 +350,24 @@ def _m_derivs(w, xi: float, c: float):
 
     Returns ``(x, m, m2, mx, m22, m2x, mxx)`` with x = xi*w. phi = log1p(x)/x
     and its first two derivatives come from the series on the rows with
-    |x| < ``_SERIES_X`` and from the closed forms on the others, each form
-    evaluated only on its own rows, so M stays finite as xi -> 0, where it
-    meets the exponential branch (M = y/mu at xi = 0).
+    |x| < ``_SERIES_X`` and from the closed forms on the others, so M stays
+    finite as xi -> 0, where it meets the exponential branch (M = y/mu at
+    xi = 0). The closed forms run on every row unless all rows take the
+    series, and the series then overwrites its own rows: that costs fewer
+    calls than gathering and scattering both forms. The caller ignores the
+    floating-point warnings that the closed forms raise at x = 0.
     """
     x = xi * w
-    phi = np.empty((3, x.size))
-    small = np.abs(x) < _SERIES_X
-    for rows, form in ((small, _phi_series), (~small, _phi_closed)):
-        k = np.count_nonzero(rows)
-        if k == x.size:
-            phi[:] = form(x)
-        elif k:
-            # row by row of phi: a masked store into a 1-d view is the fast one
-            for out, part in zip(phi, form(x[rows])):
+    opx = 1.0 + x
+    rows = np.flatnonzero(np.abs(x) < _SERIES_X)
+    if rows.size == x.size:
+        phi = _phi_series(x)
+    else:
+        phi = _phi_closed(x, opx)
+        if rows.size:
+            for out, part in zip(phi, _phi_series(x[rows])):
                 out[rows] = part
-    b = 1.0 / (1.0 + x)
+    b = 1.0 / opx
     wb = w * b
     cwb = c * wb
     ww = w * w
@@ -382,73 +386,93 @@ def _expit_pair(eta1):
     return 1.0 / (1.0 + np.exp(-eta1)), 1.0 / (1.0 + np.exp(eta1))
 
 
-# Per-kind kernels. Each returns ``(t, g, h)`` for its rows: ``t`` of shape
-# (n,) holds the log-likelihood terms of :func:`_loglik_terms`, ``g`` of shape
+# The row kernel returns ``(t, g, h)`` for its rows: ``t`` of shape (n,)
+# holds the log-likelihood terms of :func:`_loglik_terms`, ``g`` of shape
 # (3, n) their first derivatives in (eta1 = logit pi, eta2 = log mu, xi), and
 # ``h`` of shape (6, n) the unique second derivatives in the order
 # (11, 12, 1xi, 22, 2xi, xixi).
 
 
-def _zero_row_derivs(eta1, eta2, xi: float, y_trunc: float):
-    """Zero rows: log(1 - pi*S) with S = exp(-M) at w0 = y_trunc/sigma.
+def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
+    """Both row kinds in one call, on rows stored zero rows first.
 
-    All three parameters couple. A row whose threshold lies beyond a
-    ``xi < 0`` support end has no mass above it: its term is log(1) = 0 and
-    all its derivatives are zero.
-    """
-    c = 1.0 / (1.0 - xi)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pi, qi = _expit_pair(eta1)
-        w = y_trunc * np.exp(-eta2) * c
-        x, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
-        neg_m = -m
-        surv = np.exp(neg_m)
-        one_minus_q = qi - pi * np.expm1(neg_m)
-        beyond = x <= -1.0
-        if beyond.any():
-            surv[beyond] = 0.0
-            one_minus_q[beyond] = 1.0
-            for arr in (m2, mx, m22, m2x, mxx):
-                arr[beyond] = 0.0
-        # q = pi*S, r = q / (1 - q)
-        r = pi * surv / one_minus_q
-        rr = r * (1.0 + r)
-        rrq = rr * qi
-        t = np.log(one_minus_q)
-        g0 = -r * qi
-        g = np.array([g0, r * m2, r * mx])
-        h = np.array([
-            g0 * ((1.0 + r) * qi - pi),
-            rrq * m2,
-            rrq * mx,
-            r * m22 - rr * m2 * m2,
-            r * m2x - rr * m2 * mx,
-            r * mxx - rr * mx * mx,
-        ])
-    return t, g, h
+    Rows before ``n_zero`` are zero rows and the others positive rows. ``v``
+    is y_trunc on a zero row and y on a positive row, so w = v/sigma is
+    formed alike on every row, and one :func:`_expit_pair` and one
+    :func:`_m_derivs` call serve both kinds. Each kind's formulas then fill
+    its own slice of t, g and h.
 
+    Zero rows: log(1 - pi*S) with S = exp(-M) at w = y_trunc/sigma. All three
+    parameters couple. A row whose threshold lies beyond a ``xi < 0`` support
+    end has no mass above it: its term is log(1) = 0 and all its derivatives
+    are zero.
 
-def _pos_row_derivs(y, eta1, eta2, xi: float):
-    """Positive rows: log pi - log sigma - (1 + xi)*M at w = y/sigma.
-
-    These rows depend on eta1 only through log pi, so their eta1 cross
-    derivatives h[1] and h[2] are identically zero. A row beyond a ``xi < 0``
-    support end has a term that is not finite.
+    Positive rows: log pi - log sigma - (1 + xi)*M at w = y/sigma. They
+    depend on eta1 only through log pi, so their eta1 cross derivatives h[1]
+    and h[2] are identically zero. A row beyond a ``xi < 0`` support end has
+    a term that is not finite.
     """
     c = 1.0 / (1.0 - xi)
     one_xi = 1.0 + xi
+    n = v.size
+    out = np.empty((10, n))
+    t, g, h = out[0], out[1:4], out[4:]
+    z, p = slice(0, n_zero), slice(n_zero, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi, qi = _expit_pair(eta1)
-        w = y * np.exp(-eta2) * c
-        _, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
-        t = np.log(pi) - eta2 - np.log1p(-xi) - one_xi * m
-        g = np.array([qi, -1.0 - one_xi * m2, c - m - one_xi * mx])
-        h = np.zeros((6, y.size))
-        h[0] = -pi * qi
-        h[3] = -one_xi * m22
-        h[4] = -m2 - one_xi * m2x
-        h[5] = c * c - 2.0 * mx - one_xi * mxx
+        w = v * np.exp(-eta2) * c
+        x, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
+        if n_zero:
+            pz, qz = pi[z], qi[z]
+            m2z, mxz, m22z, m2xz, mxxz = m2[z], mx[z], m22[z], m2x[z], mxx[z]
+            neg_m = -m[z]
+            surv = np.exp(neg_m)
+            one_minus_q = qz - pz * np.expm1(neg_m)
+            # x = xi*w >= 0 unless xi < 0, and only then can a row lie beyond
+            beyond = x[z] <= -1.0 if xi < 0.0 else None
+            if beyond is not None and beyond.any():
+                surv[beyond] = 0.0
+                one_minus_q[beyond] = 1.0
+                for arr in (m2z, mxz, m22z, m2xz, mxxz):
+                    arr[beyond] = 0.0
+            # q = pi*S, r = q / (1 - q)
+            r = pz * surv / one_minus_q
+            r1 = 1.0 + r
+            rr = r * r1
+            rrq = rr * qz
+            rr_m2 = rr * m2z
+            np.log(one_minus_q, out=t[z])
+            g0 = np.multiply(-r, qz, out=g[0, z])
+            np.multiply(r, m2z, out=g[1, z])
+            np.multiply(r, mxz, out=g[2, z])
+            np.multiply(g0, r1 * qz - pz, out=h[0, z])
+            np.multiply(rrq, m2z, out=h[1, z])
+            np.multiply(rrq, mxz, out=h[2, z])
+            np.subtract(r * m22z, rr_m2 * m2z, out=h[3, z])
+            np.subtract(r * m2xz, rr_m2 * mxz, out=h[4, z])
+            np.subtract(r * mxxz, rr * mxz * mxz, out=h[5, z])
+        if n_zero < n:
+            pp, qp, mp, m2p, mxp = pi[p], qi[p], m[p], m2[p], mx[p]
+            np.subtract(np.log(pp) - eta2[p] - math.log1p(-xi), one_xi * mp, out=t[p])
+            g[0, p] = qp
+            np.subtract(-1.0, one_xi * m2p, out=g[1, p])
+            np.subtract(c - mp, one_xi * mxp, out=g[2, p])
+            np.multiply(-pp, qp, out=h[0, p])
+            h[1:3, p] = 0.0
+            np.multiply(-one_xi, m22[p], out=h[3, p])
+            np.subtract(-m2p, one_xi * m2x[p], out=h[4, p])
+            np.subtract(c * c - 2.0 * mxp, one_xi * mxx[p], out=h[5, p])
     return t, g, h
+
+
+def _zero_row_derivs(eta1, eta2, xi: float, y_trunc: float):
+    """:func:`_row_derivs` on zero rows alone."""
+    return _row_derivs(np.full(np.shape(eta2), float(y_trunc)), np.size(eta2), eta1, eta2, xi)
+
+
+def _pos_row_derivs(y, eta1, eta2, xi: float):
+    """:func:`_row_derivs` on positive rows alone."""
+    return _row_derivs(np.asarray(y, dtype=float), 0, eta1, eta2, xi)
 
 
 # Relative eigenvalue floor of the rank check. On the Gram matrix scaled to

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from zitpo.cli import _fit_from_report, main, sig_code
+import zitpo.cli as cli
+from zitpo.cli import _fit_from_report, build_parser, main, sig_code
 from zitpo.data_io import make_model_spec, parse_formula, read_csv
 from zitpo.diagnostics import qq_data, residuals
 from zitpo.estimation import fit_mle
@@ -237,6 +238,23 @@ class TestFit:
         assert outs[0] == outs[1]
 
 
+class TestParser:
+    def test_parser_is_built_once_and_each_parse_starts_afresh(self, monkeypatch):
+        # the cached parser copies the --factor default list into every parse
+        seen = []
+
+        def record(path, response, y_trunc, factors):
+            seen.append(tuple(f.variable for f in factors))
+            raise ValueError("stop before reading")
+
+        monkeypatch.setattr(cli, "read_csv", record)
+        argv = ["fit", "--data", "d.csv", "--response", "y", "--trunc", "0"]
+        assert main(argv + ["--factor", "g"]) == 1
+        assert main(argv) == 1
+        assert seen == [("g",), ()]
+        assert build_parser() is build_parser()
+
+
 def factor_csv(tmp_path, seed=4, n=600):
     rng = np.random.default_rng(seed)
     age = rng.choice(["a15", "a25", "a35"], n)
@@ -397,6 +415,30 @@ class TestDiagnose:
         if fix_xi is not None:
             assert stored.xi_fixed and stored.se[-1] == 0.0
 
+    @pytest.mark.parametrize("reshape", [
+        lambda report: [1],
+        lambda report: {**report, "fit": {**report["fit"], "xi": {**report["fit"]["xi"], "estimate": None}}},
+        lambda report: {k: v for k, v in report.items() if k != "fit"},
+    ], ids=["list", "null-shape", "no-fit"])
+    def test_wrong_shaped_report_is_named(self, tmp_path, bernoulli_exp_csv, capsys, reshape):
+        path, _ = bernoulli_exp_csv
+        report_path = tmp_path / "report.json"
+        assert main([
+            "fit", "--data", path, "--response", "y", "--trunc", "0",
+            "--out", str(report_path),
+        ]) == 0
+        report_path.write_text(json.dumps(reshape(json.loads(report_path.read_text()))))
+        capsys.readouterr()
+        code = main([
+            "diagnose", "--report", str(report_path), "--data", path,
+            "--out-csv", str(tmp_path / "unused.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: --report {report_path}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "unused.csv").exists()
+
     def test_no_positive_observations_is_an_error(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         report_path = tmp_path / "report.json"
@@ -445,6 +487,22 @@ class TestSimulate:
 class TestCoverage:
     def test_zero_reps_is_input_error(self):
         assert main(["coverage", "--n", "100", "--reps", "0", "--xi", "0.25"]) == 1
+
+    @pytest.mark.parametrize("preset", [[], ["--preset", "reference"]], ids=["custom", "reference"])
+    @pytest.mark.parametrize("flag", ["--n", "--reps"])
+    def test_zero_n_or_reps_is_named(self, monkeypatch, capsys, preset, flag):
+        # the reference preset's defaults fill in absent flags, not zeros
+        def never(*args, **kwargs):
+            raise AssertionError("no study should run")
+
+        monkeypatch.setattr(cli, "coverage_study", never)
+        given = {"--n": "100", "--reps": "1", flag: "0"}
+        argv = ["coverage", *preset, "--xi", "0.25"]
+        for name, value in given.items():
+            argv += [name, value]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be at least 1, got 0" in err
 
     def test_invalid_preset_is_input_error(self):
         assert main(["coverage", "--preset", "nope", "--out", "/dev/null"]) == 1

@@ -16,6 +16,7 @@ from scipy import stats as sps
 from scipy.special import expit
 
 import zitpo.estimation as estimation
+import zitpo.model as model
 from zitpo.estimation import (
     FitResult,
     _maximize_newton,
@@ -34,7 +35,9 @@ from zitpo.estimation import TestResult as InferenceResult
 from zitpo.model import (
     CoefVector,
     ModelSpec,
+    _m_derivs,
     _pos_row_derivs,
+    _row_derivs,
     _zero_row_derivs,
     log_likelihood,
 )
@@ -154,21 +157,23 @@ def natural_loglik(y, y_trunc, spec, fixed_xi=None):
 def support_shifts(rows, coef, xi):
     """Per positive row, the mu-intercept shift at and below which the row
     lies past the xi < 0 support end: xi*y/(mu*(1 - xi)) = -1."""
-    return np.log(rows.y_pos * -xi / (1.0 - xi)) - coef.beta2 @ rows.x2_pos
+    pos = slice(rows.n_zero, None)
+    return np.log(rows.v[pos] * -xi / (1.0 - xi)) - coef.beta2 @ rows.x2[:, pos]
 
 
 def kernels_finite(rows, y_trunc, b1, b2, xi):
     """Whether the per-kind kernels, summed over all rows with no support
     check, give a finite value, score and Hessian."""
-    zero = _zero_row_derivs(b1 @ rows.x1_zero, b2 @ rows.x2_zero, xi, y_trunc)
-    pos = _pos_row_derivs(rows.y_pos, b1 @ rows.x1_pos, b2 @ rows.x2_pos, xi)
+    z, p = slice(0, rows.n_zero), slice(rows.n_zero, None)
+    zero = _zero_row_derivs(b1 @ rows.x1[:, z], b2 @ rows.x2[:, z], xi, y_trunc)
+    pos = _pos_row_derivs(rows.v[p], b1 @ rows.x1[:, p], b2 @ rows.x2[:, p], xi)
     return all(np.isfinite(np.sum(a, axis=-1)).all() for a in zero + pos)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the fitter's calls into each per-kind kernel."""
-    calls = {"zero": 0, "pos": 0}
+    """Counts of the fitter's calls into the row kernel and into _m_derivs."""
+    calls = {"kernel": 0, "m_derivs": 0}
 
     def counted(kind, kernel):
         def wrapper(*args):
@@ -177,27 +182,54 @@ def kernel_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(estimation, "_zero_row_derivs", counted("zero", _zero_row_derivs))
-    monkeypatch.setattr(estimation, "_pos_row_derivs", counted("pos", _pos_row_derivs))
+    monkeypatch.setattr(estimation, "_row_derivs", counted("kernel", _row_derivs))
+    monkeypatch.setattr(model, "_m_derivs", counted("m_derivs", _m_derivs))
     return calls
 
 
 def sweep_point(rows, coef, xi, shift, calls):
     """The pass at the mu intercept moved by ``shift``: 'infeasible' or
     'feasible', checked against the kernels summed over all rows. An
-    infeasible pass runs neither kernel (``calls`` counts them)."""
+    infeasible pass makes no kernel call (``calls`` counts them)."""
     b2 = coef.beta2 + np.array([shift, 0.0])
     before = dict(calls)
-    out, score, hess = _score_hessian(rows, 0.125, coef.beta1, b2, xi)
+    out, score, hess = _score_hessian(rows, coef.beta1, b2, xi)
+    after = dict(calls)
     assert (out == -math.inf) == (not kernels_finite(rows, 0.125, coef.beta1, b2, xi))
     if out == -math.inf:
-        assert calls == before
+        assert after == before
         return "infeasible"
     assert np.isfinite(score).all() and np.isfinite(hess).all()
     return "feasible"
 
 
 XI_GRID = [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7]
+
+# (eta1, eta2, xi) index pairs of the kernel's six second-derivative rows
+UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def per_kind_sums(y, y_trunc, spec, b1, b2, xi):
+    """Value, score and Hessian from the one-kind kernels, each on all its
+    rows at once, summed through the per-row Jacobian of (eta1, eta2, xi)."""
+    p1, p2 = spec.x1.shape[1], spec.x2.shape[1]
+    k = p1 + p2 + 1
+    value, score, hess = 0.0, np.zeros(k), np.zeros((k, k))
+    for zero in (True, False):
+        rows = (y == 0.0) == zero
+        x1, x2 = spec.x1[rows], spec.x2[rows]
+        if zero:
+            t, g, h = _zero_row_derivs(x1 @ b1, x2 @ b2, xi, y_trunc)
+        else:
+            t, g, h = _pos_row_derivs(y[rows], x1 @ b1, x2 @ b2, xi)
+        jac = np.zeros((3, t.size, k))
+        jac[0, :, :p1], jac[1, :, p1:-1], jac[2, :, -1] = x1, x2, 1.0
+        value += t.sum()
+        score += sum(jac[a].T @ g[a] for a in range(3))
+        for row, (a, b) in zip(h, UPPER):
+            block = jac[a].T @ (row[:, None] * jac[b])
+            hess += block if a == b else block + block.T
+    return value, score, hess
 
 
 class TestAnalyticDerivatives:
@@ -209,19 +241,39 @@ class TestAnalyticDerivatives:
             v = np.concatenate([coef.beta1, coef.beta2, [xi]])
             f = natural_loglik(y, y_trunc, spec)
             _, score, hess = _score_hessian(
-                _split_rows(y, spec), y_trunc, coef.beta1, coef.beta2, xi
+                _split_rows(y, y_trunc, spec), coef.beta1, coef.beta2, xi
             )
             g_num = numeric_gradient(f, v)
             assert np.max(np.abs(score - g_num)) <= 1e-6 * np.max(np.abs(score))
             h_num = numeric_hessian(f, v)
             assert np.max(np.abs(hess - h_num)) <= 1e-4 * np.max(np.abs(hess))
 
+    # one block holding both row kinds; two blocks, the first straddling the
+    # kind boundary and the second holding no zero rows; three blocks, the
+    # first all zero rows, the second straddling, the third no zero rows
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("y_trunc", [0.0, 0.125])
+    @pytest.mark.parametrize("xi", XI_GRID)
+    def test_pass_equals_the_per_kind_kernels_summed(self, xi, y_trunc, blocks, kernel_calls):
+        size = estimation._ROW_BLOCK
+        n = {1: 1000, 2: size + 1000, 3: 2 * size + 2000}[blocks]
+        y, spec, coef = random_problem(xi, y_trunc, 31, n=n)
+        rows = _split_rows(y, y_trunc, spec)
+        # the zero rows end inside the straddling block
+        lo, hi = {1: (0, n), 2: (0, size), 3: (size, 2 * size)}[blocks]
+        assert lo < rows.n_zero < hi
+        got = _score_hessian(rows, coef.beta1, coef.beta2, xi)
+        assert kernel_calls == {"kernel": blocks, "m_derivs": blocks}
+        want = per_kind_sums(y, y_trunc, spec, coef.beta1, coef.beta2, xi)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
     @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.25])
     def test_pass_value_is_the_log_likelihood(self, xi):
         # more rows than one block of the assembly, so every block is summed
         y, spec, coef = random_problem(xi, 0.125, 8, n=2 * estimation._ROW_BLOCK + 7)
         loglik, _, _ = _score_hessian(
-            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi
+            _split_rows(y, 0.125, spec), coef.beta1, coef.beta2, xi
         )
         ref = log_likelihood(y, 0.125, spec, coef)
         assert loglik == pytest.approx(ref, rel=1e-12)
@@ -229,7 +281,7 @@ class TestAnalyticDerivatives:
         y_out = y.copy()
         y_out[np.argmax(y)] = 1e6
         out, _, _ = _score_hessian(
-            _split_rows(y_out, spec), 0.125, coef.beta1, coef.beta2, -0.3
+            _split_rows(y_out, 0.125, spec), coef.beta1, coef.beta2, -0.3
         )
         assert out == -math.inf
 
@@ -239,11 +291,11 @@ class TestAnalyticDerivatives:
         y, spec, coef = random_problem(0.25, 0.125, 9, n=n)
         zero = np.flatnonzero(y == 0.0)
         y[zero[40:]] = 0.125 + np.random.default_rng(9).exponential(2.0, zero.size - 40)
-        rows = _split_rows(y, spec)
-        assert rows.x1_zero.shape[1] == 40 < estimation._ROW_BLOCK < rows.y_pos.size
+        rows = _split_rows(y, 0.125, spec)
+        assert rows.n_zero == 40 < estimation._ROW_BLOCK < rows.v.size - rows.n_zero
         v = np.concatenate([coef.beta1, coef.beta2, [0.25]])
         f = natural_loglik(y, 0.125, spec)
-        loglik, score, hess = _score_hessian(rows, 0.125, coef.beta1, coef.beta2, 0.25)
+        loglik, score, hess = _score_hessian(rows, coef.beta1, coef.beta2, 0.25)
         assert loglik == pytest.approx(f(v), rel=1e-12)
         assert np.max(np.abs(score - numeric_gradient(f, v))) <= 1e-6 * np.max(np.abs(score))
         assert np.max(np.abs(hess - numeric_hessian(f, v))) <= 1e-4 * np.max(np.abs(hess))
@@ -256,7 +308,7 @@ class TestAnalyticDerivatives:
         v = np.concatenate([coef.beta1, coef.beta2])
         f = natural_loglik(y, 0.125, spec, fixed_xi=xi)
         _, score, hess = _score_hessian(
-            _split_rows(y, spec), 0.125, coef.beta1, coef.beta2, xi
+            _split_rows(y, 0.125, spec), coef.beta1, coef.beta2, xi
         )
         assert score.shape == (6,) and hess.shape == (6, 6)
         score, hess = score[:5], hess[:5, :5]
@@ -283,7 +335,7 @@ class TestAnalyticDerivatives:
         fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
         assert fit.converged
         _, _, hess = _score_hessian(
-            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
+            _split_rows(y, cfg.y_trunc, spec), fit.coef.beta1, fit.coef.beta2, fit.coef.xi
         )
         k = hess.shape[0] - (fix_xi is not None)
         assert np.allclose(
@@ -297,7 +349,7 @@ class TestAnalyticDerivatives:
         # the pass reads -inf exactly where the kernels over all rows are not
         # finite, as the mu intercept moves the outermost positive y across the end
         y, spec, coef = random_problem(xi, 0.125, 12)
-        rows = _split_rows(y, spec)
+        rows = _split_rows(y, 0.125, spec)
         shifts = support_shifts(rows, coef, xi)
         start = float(np.max(shifts))
         sweep = start + np.concatenate([
@@ -310,12 +362,12 @@ class TestAnalyticDerivatives:
     @pytest.mark.parametrize("xi", [-0.05, -0.3, -0.9])
     def test_support_check_reaches_the_last_positive_block(self, xi, kernel_calls):
         y, spec, coef = random_problem(xi, 0.125, 13, n=3 * estimation._ROW_BLOCK)
-        rows = _split_rows(y, spec)
-        assert rows.y_pos.size > estimation._ROW_BLOCK
+        rows = _split_rows(y, 0.125, spec)
+        assert rows.v.size - rows.n_zero > estimation._ROW_BLOCK
         # lift the last positive row half a unit of eta2 past every other one
         shifts = support_shifts(rows, coef, xi)
-        last = rows.y_pos.size - 1
-        rows.y_pos[last] *= math.exp(np.max(shifts[:last]) + 0.5 - shifts[last])
+        last = shifts.size - 1
+        rows.v[rows.n_zero + last] *= math.exp(np.max(shifts[:last]) + 0.5 - shifts[last])
         shifts = support_shifts(rows, coef, xi)
         assert np.argmax(shifts) == last
         ahead = float(np.max(shifts[:last]))
@@ -332,7 +384,7 @@ class TestAnalyticDerivatives:
         b2 = np.array([eta2, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out, _, _ = _score_hessian(_split_rows(y, spec), 0.125, coef.beta1, b2, xi)
+            out, _, _ = _score_hessian(_split_rows(y, 0.125, spec), coef.beta1, b2, xi)
         if xi < 0.0 and eta2 < 0.0:
             assert out == -math.inf
 
@@ -341,7 +393,7 @@ class TestAnalyticDerivatives:
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec)
         _, score, _ = _score_hessian(
-            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
+            _split_rows(y, cfg.y_trunc, spec), fit.coef.beta1, fit.coef.beta2, fit.coef.xi
         )
         assert np.max(np.abs(score)) < 1e-6
 
@@ -396,7 +448,8 @@ class TestNewton:
 
     def test_infeasible_trials_run_no_kernel(self, kernel_calls, monkeypatch):
         # a trial past a xi < 0 support end costs the support check alone;
-        # each feasible pass runs each kernel once (one block per kind here)
+        # each feasible pass makes one kernel call and one _m_derivs call
+        # (n = 1000 is one block)
         passes = {"all": 0, "feasible": 0}
         real_pass = estimation._score_hessian
 
@@ -411,7 +464,7 @@ class TestNewton:
         for rep in range(cfg.reps):
             y, spec = simulate_dataset(cfg, rep)
             assert fit_mle(y, cfg.y_trunc, spec).converged
-        assert kernel_calls["zero"] == kernel_calls["pos"] == passes["feasible"]
+        assert kernel_calls["kernel"] == kernel_calls["m_derivs"] == passes["feasible"]
         # 551 passes, 147 of them infeasible, when this was written; a kernel
         # pass per trial point would make 551 calls per kind
         assert passes["feasible"] <= 420 < passes["all"]
@@ -666,7 +719,7 @@ class TestFitMle:
 def natural_score_norm(y, y_trunc, spec, fit):
     """Max-norm of the score in (beta1, beta2, xi) at a fit's estimates."""
     _, score, _ = _score_hessian(
-        _split_rows(y, spec), y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
+        _split_rows(y, y_trunc, spec), fit.coef.beta1, fit.coef.beta2, fit.coef.xi
     )
     return float(np.max(np.abs(score)))
 
@@ -706,7 +759,7 @@ class TestShapeEdge:
         fit = fit_mle(y, cfg.y_trunc, spec)
         assert fit.converged
         _, score, hess = _score_hessian(
-            _split_rows(y, spec), cfg.y_trunc, fit.coef.beta1, fit.coef.beta2, fit.coef.xi
+            _split_rows(y, cfg.y_trunc, spec), fit.coef.beta1, fit.coef.beta2, fit.coef.xi
         )
         step, factor = _newton_direction(score, hess)
         assert factor is not None and score @ step < 1e-16
