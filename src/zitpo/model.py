@@ -429,12 +429,13 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
             surv = np.exp(neg_m)
             one_minus_q = qz - pz * np.expm1(neg_m)
             # x = xi*w >= 0 unless xi < 0, and only then can a row lie beyond
-            beyond = x[z] <= -1.0 if xi < 0.0 else None
-            if beyond is not None and beyond.any():
-                surv[beyond] = 0.0
-                one_minus_q[beyond] = 1.0
-                for arr in (m2z, mxz, m22z, m2xz, mxxz):
-                    arr[beyond] = 0.0
+            if xi < 0.0:
+                beyond = x[z] <= -1.0
+                if beyond.any():
+                    surv[beyond] = 0.0
+                    one_minus_q[beyond] = 1.0
+                    for arr in (m2z, mxz, m22z, m2xz, mxxz):
+                        arr[beyond] = 0.0
             # q = pi*S, r = q / (1 - q)
             r = pz * surv / one_minus_q
             r1 = 1.0 + r
