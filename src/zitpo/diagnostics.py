@@ -18,7 +18,7 @@ import numpy as np
 
 from .estimation import FitResult
 from .gpd import GpdMean, gpd_cdf, gpd_quantile
-from .model import ModelSpec, _zero_log_prob, predict
+from .model import ModelSpec, _linear_predictors, _loglik_terms, linkinv_logit, predict
 
 __all__ = [
     "ResidualSet",
@@ -134,22 +134,22 @@ def zero_calibration(
     if not fit.converged:
         raise ValueError("calibration requires a converged fit")
     y = np.asarray(y, dtype=float)
-    pi, mu = predict(spec, fit.coef)
-    p_zero = np.exp(_zero_log_prob(pi, 1.0 - pi, mu, fit.coef.xi, y_trunc))
+    eta1, eta2 = _linear_predictors(spec, fit.coef)
+    pi = linkinv_logit(eta1)
+    # each row's zero probability: the kernel's term, every row a zero row
+    v = np.full(y.size, float(y_trunc))
+    p_zero = np.exp(_loglik_terms(v, y.size, eta1, eta2, fit.coef.xi))
     edges = np.quantile(pi, np.linspace(0.0, 1.0, bins + 1))
     idx = np.clip(np.searchsorted(edges[1:-1], pi, side="right"), 0, bins - 1)
-    rows = []
-    for b in range(bins):
-        sel = idx == b
-        if not np.any(sel):
-            continue
-        rows.append(
-            {
-                "bin": b,
-                "count": int(np.sum(sel)),
-                "mean_pi": float(np.mean(pi[sel])),
-                "predicted_zero": float(np.mean(p_zero[sel])),
-                "observed_zero": float(np.mean(y[sel] == 0.0)),
-            }
-        )
-    return rows
+    count = np.bincount(idx, minlength=bins)
+    sums = [np.bincount(idx, weights=w, minlength=bins) for w in (pi, p_zero, y == 0.0)]
+    return [
+        {
+            "bin": b,
+            "count": int(count[b]),
+            "mean_pi": float(sums[0][b] / count[b]),
+            "predicted_zero": float(sums[1][b] / count[b]),
+            "observed_zero": float(sums[2][b] / count[b]),
+        }
+        for b in np.flatnonzero(count).tolist()
+    ]

@@ -13,8 +13,9 @@ solves on. Each iteration factors the information -H on that block once, by
 Cholesky (LAPACK ``dposv``): the factor gives the step and the Newton
 decrement, which covariate units do not move. The pass converges when the
 decrement stop comes with a factor, which then gives the standard errors; a
-free shape near 1 ends it unconverged. The reported log-likelihood is a
-compensated sum at the optimum.
+free shape near 1 ends it unconverged. The reported log-likelihood is the
+compensated sum of the kernel's row terms at the optimum, from
+:func:`zitpo.model._loglik_terms`.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
@@ -32,15 +33,17 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.special import erfc, expit, gammaincc, ndtri
+from scipy.special import erfc, gammaincc, ndtri
 
 from .model import (
     CoefVector,
     ModelSpec,
+    _block_bounds,
     _check_rank,
     _check_response,
     _loglik_terms,
     _row_derivs,
+    _zero_first,
 )
 
 __all__ = [
@@ -202,8 +205,6 @@ _MAX_ITER = 500
 # (step 2**-40) after which a direction counts as failed.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 40
-# Rows per block of the score/Hessian assembly.
-_ROW_BLOCK = 4096
 
 
 def _load_lapack():
@@ -235,9 +236,9 @@ def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, n
     return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor)), None
 
 
-def _maximize_newton(evaluate, x0, free: np.ndarray):
+def _maximize_newton(evaluate, x0, k: int):
     """Maximize f by Newton's method with step halving, moving only the
-    coordinates that the boolean mask ``free`` marks.
+    first ``k`` coordinates (a fixed shape is the last one).
 
     ``evaluate(x)`` returns f with its analytic gradient and Hessian, and
     f = -inf where any of them is not finite, so a point is feasible exactly
@@ -258,15 +259,14 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
     fx, g, H = evaluate(x)
     if not np.isfinite(fx):
         raise ValueError("log-likelihood is not finite at the starting coefficients")
-    block = np.ix_(free, free)
     trace: list[tuple[int, float, float]] = []
     while len(trace) < _MAX_ITER:
-        step, factor = _newton_direction(g[free], H[block])
-        decrement = float(g[free] @ step)
+        step, factor = _newton_direction(g[:k], H[:k, :k])
+        decrement = float(g[:k] @ step)
         if decrement < _DECREMENT_TOL:
             return x, factor, tuple(trace)
         p = np.zeros_like(x)
-        p[free] = step
+        p[:k] = step
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             xt = x + alpha * p
@@ -277,8 +277,8 @@ def _maximize_newton(evaluate, x0, free: np.ndarray):
         else:
             break
         x, fx, g, H = xt, ft, gt, Ht
-        trace.append((len(trace) + 1, fx, float(np.max(np.abs(g[free])))))
-        if free[-1] and x[-1] > 1.0 - _EDGE:
+        trace.append((len(trace) + 1, fx, float(np.max(np.abs(g[:k])))))
+        if k == x.size and x[-1] > 1.0 - _EDGE:
             break
     return x, None, tuple(trace)
 
@@ -300,11 +300,7 @@ def _split_rows(y: np.ndarray, y_trunc: float, spec: ModelSpec) -> _Rows:
     """Order y, X1 and X2 zero rows first; the fitter does this once, since
     y does not change during a fit. A design that both parts share is
     stored once."""
-    positive = y > 0.0
-    order = np.argsort(positive, kind="stable")
-    n_zero = y.size - int(np.count_nonzero(positive))
-    v = y[order]
-    v[:n_zero] = y_trunc
+    order, n_zero, v = _zero_first(y, y_trunc)
     x1 = spec.x1.T.take(order, axis=1)
     x2 = x1 if spec.x2 is spec.x1 else spec.x2.T.take(order, axis=1)
     return _Rows(n_zero, v, x1, x2)
@@ -326,7 +322,7 @@ def _score_hessian(rows: _Rows, b1, b2, xi: float):
 
     An infeasible trial costs a support check, not a kernel pass: at
     ``xi < 0`` a positive row at or past the support end, x = xi*w <= -1,
-    makes its term non-finite, so the pass returns ``(-inf, None, None)``
+    makes its term -inf, so the pass returns ``(-inf, None, None)``
     before the kernel runs. The check and the kernel share eta2.
     """
     n_zero, n = rows.n_zero, rows.v.size
@@ -335,9 +331,7 @@ def _score_hessian(rows: _Rows, b1, b2, xi: float):
         return -math.inf, None, None
     eta1 = b1 @ rows.x1
     parts = []
-    for lo in range(0, n, _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        nz = min(max(n_zero - lo, 0), _ROW_BLOCK)
+    for block, nz in _block_bounds(n, n_zero):
         a1, a2 = rows.x1[:, block], rows.x2[:, block]
         z1, z2 = a1[:, :nz], a2[:, :nz]
         t, g, h = _row_derivs(rows.v[block], nz, eta1[block], eta2[block], xi)
@@ -452,21 +446,17 @@ def fit_mle(
         return _score_hessian(rows, theta[:p1], theta[p1:-1], float(theta[-1]))
 
     theta0 = np.concatenate([init.beta1, init.beta2, [init.xi if fix_xi is None else fix_xi]])
-    free = np.append(np.ones(p1 + p2, dtype=bool), fix_xi is None)
-    xhat, factor, trace = _maximize_newton(evaluate, theta0, free)
+    k = p1 + p2 + (fix_xi is None)
+    xhat, factor, trace = _maximize_newton(evaluate, theta0, k)
     converged = factor is not None
     b1, b2, xi = xhat[:p1], xhat[p1:-1], float(xhat[-1])
     coef = CoefVector(beta1=b1, beta2=b2, xi=xi)
-    # the reported value is a compensated sum, so it does not depend on blocking
-    eta1 = spec.x1 @ b1
-    with np.errstate(over="ignore", divide="ignore"):
-        loglik = math.fsum(
-            _loglik_terms(y, expit(eta1), expit(-eta1), np.exp(spec.x2 @ b2), xi, y_trunc)
-        )
+    # fsum is correctly rounded: the value depends on neither blocks nor row order
+    loglik = math.fsum(_loglik_terms(rows.v, rows.n_zero, b1 @ rows.x1, b2 @ rows.x2, xi))
 
     cov = np.full((theta0.size,) * 2, 0.0 if converged else np.nan)
     if converged:
-        cov[np.ix_(free, free)] = _covariance(factor)
+        cov[:k, :k] = _covariance(factor)
 
     return FitResult(
         coef=coef,

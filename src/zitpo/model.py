@@ -11,6 +11,11 @@ recording threshold ``y_trunc``, so
 with ``pi`` the probability of a positive underlying value and ``mu`` the
 mean of the untruncated positive part. Covariates enter through a logit link
 for ``pi`` and a log link for ``mu``.
+
+One formula gives every row's log-likelihood term: the row kernel
+:func:`_row_derivs`, whose series meets the exponential limit xi = 0. The
+fitter takes its derivatives; every reported value takes its terms through
+:func:`_loglik_terms`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .gpd import XI_TOL, _check_shape
+from .gpd import _check_shape
 
 __all__ = [
     "ZitpoParams",
@@ -50,8 +55,7 @@ class ZitpoParams:
     mu : float
         Mean of the untruncated positive part (same units as the data).
     xi : float
-        Shape of the positive part; must be < 1. Values with ``|xi|`` below
-        the shape tolerance use the exponential branch.
+        Shape of the positive part, below 1; 0 is the exponential limit.
     y_trunc : float
         Recording threshold: positives at or below it appear as zeros.
     """
@@ -167,57 +171,22 @@ def linkinv_log(eta):
     return float(out) if arr.ndim == 0 else out
 
 
-def _log_trunc_survival(mu, xi: float, y_trunc: float):
-    """log P(Y* > y_trunc | Y* > 0) for the positive GPD part. Vectorized in mu."""
-    if y_trunc == 0.0:
-        return np.zeros_like(np.asarray(mu, dtype=float))
-    if abs(xi) < XI_TOL:
-        return -y_trunc / np.asarray(mu, dtype=float)
-    a = (xi / (1.0 - xi)) * y_trunc / np.asarray(mu, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.log1p(a) / xi
-    # xi < 0 with the threshold at/above the support endpoint: survival 0
-    out = np.where(a <= -1.0, -np.inf, out)
-    return out
-
-
-def _zero_log_prob(pi, qi, mu, xi: float, y_trunc: float):
-    """log P(Y = 0) = log(1 - pi * S(y_trunc)) as log(qi - pi * (S - 1)),
-    with qi = 1 - pi given by the caller, so nothing cancels when pi is near
-    1. Vectorized in (pi, qi, mu)."""
-    log_s = _log_trunc_survival(mu, xi, y_trunc)
-    with np.errstate(divide="ignore"):
-        out = np.log(qi - np.asarray(pi, dtype=float) * np.expm1(log_s))
-    # a threshold beyond a xi < 0 support end leaves no mass above it: log(1)
-    return np.where(log_s == -np.inf, 0.0, out)
-
-
-def _pos_log_density(y, pi, mu, xi: float):
-    """log of the continuous mixture part, -inf outside the support."""
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_pi = np.log(np.asarray(pi, dtype=float))
-        if abs(xi) < XI_TOL:
-            out = log_pi - np.log(mu) - y / mu
-        else:
-            a = (xi / (1.0 - xi)) * y / mu
-            out = (
-                log_pi
-                - np.log(mu * (1.0 - xi))
-                - (1.0 / xi + 1.0) * np.log1p(a)
-            )
-            out = np.where(a <= -1.0, -np.inf, out)
-    return out
+def _param_term(v: float, n_zero: int, p: ZitpoParams) -> float:
+    """The kernel's term for one row of value ``v`` (a zero row when
+    ``n_zero`` is 1) under ``p``, from eta1 = logit pi and eta2 = log mu."""
+    eta1 = np.array([math.log(p.pi) - math.log1p(-p.pi)])
+    eta2 = np.array([math.log(p.mu)])
+    return float(_loglik_terms(np.array([v]), n_zero, eta1, eta2, p.xi)[0])
 
 
 def zero_prob(p: ZitpoParams) -> float:
     """Probability of observing a zero: non-events plus truncated positives."""
-    return float(np.exp(_zero_log_prob(p.pi, 1.0 - p.pi, p.mu, p.xi, p.y_trunc)))
+    return math.exp(_param_term(p.y_trunc, 1, p))
 
 
 def log_density(y: float, p: ZitpoParams) -> float:
-    """Log mass at zero or log density above the threshold.
+    """Log mass at zero or log density above the threshold; -inf at or past
+    a ``xi < 0`` support end.
 
     Raises for ``0 < y <= y_trunc`` (such values cannot be observed) and for
     negative ``y``.
@@ -225,13 +194,13 @@ def log_density(y: float, p: ZitpoParams) -> float:
     if not np.isfinite(y) or y < 0.0:
         raise ValueError(f"response must be a nonnegative number, got {y}")
     if y == 0.0:
-        return float(_zero_log_prob(p.pi, 1.0 - p.pi, p.mu, p.xi, p.y_trunc))
+        return _param_term(p.y_trunc, 1, p)
     if y <= p.y_trunc:
         raise ValueError(
             f"y={y} lies in (0, {p.y_trunc}]: positives at or below the "
             "truncation threshold are recorded as zeros"
         )
-    return float(_pos_log_density(y, p.pi, p.mu, p.xi))
+    return _param_term(y, 0, p)
 
 
 def density(y: float, p: ZitpoParams) -> MixturePoint:
@@ -296,22 +265,9 @@ def _linear_predictors(spec: ModelSpec, coef: CoefVector) -> tuple[np.ndarray, n
     return spec.x1 @ coef.beta1, spec.x2 @ coef.beta2
 
 
-def _loglik_terms(y: np.ndarray, pi, qi, mu, xi: float, y_trunc: float) -> np.ndarray:
-    """Per-row log mass/density contributions, with qi = 1 - pi given by the
-    caller (see :func:`_zero_log_prob`); -inf marks invalid regions."""
-    terms = np.empty_like(y, dtype=float)
-    zero = y == 0.0
-    pi = np.broadcast_to(np.asarray(pi, dtype=float), y.shape)
-    qi = np.broadcast_to(np.asarray(qi, dtype=float), y.shape)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
-    terms[zero] = _zero_log_prob(pi[zero], qi[zero], mu[zero], xi, y_trunc)
-    terms[~zero] = _pos_log_density(y[~zero], pi[~zero], mu[~zero], xi)
-    return terms
-
-
 # Below |x| = |xi * w| of this size the closed forms of phi' and phi''
 # cancel (relative error ~eps/x^2); the ten-term series there is exact to
-# rounding, and at x = 0 it is the exponential branch's limit.
+# rounding, and at x = 0 it is the exponential limit.
 _SERIES_X = 1e-2
 _SERIES_TERMS = 10
 _J = np.arange(_SERIES_TERMS)
@@ -351,7 +307,7 @@ def _m_derivs(w, xi: float, c: float):
     Returns ``(x, m, m2, mx, m22, m2x, mxx)`` with x = xi*w. phi = log1p(x)/x
     and its first two derivatives come from the series on the rows with
     |x| < ``_SERIES_X`` and from the closed forms on the others, so M stays
-    finite as xi -> 0, where it meets the exponential branch (M = y/mu at
+    finite as xi -> 0, where it meets the exponential limit (M = y/mu at
     xi = 0). The closed forms run on every row unless all rows take the
     series, and the series then overwrites its own rows: that costs fewer
     calls than gathering and scattering both forms. The caller ignores the
@@ -387,9 +343,10 @@ def _expit_pair(eta1):
 
 
 # The row kernel returns ``(t, g, h)`` for its rows: ``t`` of shape (n,)
-# holds the log-likelihood terms of :func:`_loglik_terms`, ``g`` of shape
-# (3, n) their first derivatives in (eta1 = logit pi, eta2 = log mu, xi), and
-# ``h`` of shape (6, n) the unique second derivatives in the order
+# holds the rows' log-likelihood terms, the one formula behind every
+# log-likelihood value the package reports, ``g`` of shape (3, n) their
+# first derivatives in (eta1 = logit pi, eta2 = log mu, xi), and ``h`` of
+# shape (6, n) the unique second derivatives in the order
 # (11, 12, 1xi, 22, 2xi, xixi).
 
 
@@ -409,8 +366,8 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
 
     Positive rows: log pi - log sigma - (1 + xi)*M at w = y/sigma. They
     depend on eta1 only through log pi, so their eta1 cross derivatives h[1]
-    and h[2] are identically zero. A row beyond a ``xi < 0`` support end has
-    a term that is not finite.
+    and h[2] are identically zero. A row at or past a ``xi < 0`` support end
+    has no density: its term is -inf, its derivatives not finite.
     """
     c = 1.0 / (1.0 - xi)
     one_xi = 1.0 + xi
@@ -455,6 +412,8 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
         if n_zero < n:
             pp, qp, mp, m2p, mxp = pi[p], qi[p], m[p], m2[p], mx[p]
             np.subtract(np.log(pp) - eta2[p] - math.log1p(-xi), one_xi * mp, out=t[p])
+            if xi < 0.0:
+                t[p][x[p] <= -1.0] = -math.inf
             g[0, p] = qp
             np.subtract(-1.0, one_xi * m2p, out=g[1, p])
             np.subtract(c - mp, one_xi * mxp, out=g[2, p])
@@ -466,14 +425,35 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
     return t, g, h
 
 
-def _zero_row_derivs(eta1, eta2, xi: float, y_trunc: float):
-    """:func:`_row_derivs` on zero rows alone."""
-    return _row_derivs(np.full(np.shape(eta2), float(y_trunc)), np.size(eta2), eta1, eta2, xi)
+# Rows per kernel call: the kernel's temporaries take the same memory at any n.
+_ROW_BLOCK = 4096
 
 
-def _pos_row_derivs(y, eta1, eta2, xi: float):
-    """:func:`_row_derivs` on positive rows alone."""
-    return _row_derivs(np.asarray(y, dtype=float), 0, eta1, eta2, xi)
+def _block_bounds(n: int, n_zero: int):
+    """(rows, zero rows) of each ``_ROW_BLOCK`` block of n rows stored zero
+    rows first."""
+    for lo in range(0, n, _ROW_BLOCK):
+        yield slice(lo, lo + _ROW_BLOCK), min(max(n_zero - lo, 0), _ROW_BLOCK)
+
+
+def _loglik_terms(v, n_zero: int, eta1, eta2, xi: float) -> np.ndarray:
+    """The kernel's row terms ``t`` on rows stored zero rows first, one call
+    per ``_ROW_BLOCK`` rows; -inf marks a row with no mass or density."""
+    t = np.empty(v.size)
+    for block, nz in _block_bounds(v.size, n_zero):
+        t[block] = _row_derivs(v[block], nz, eta1[block], eta2[block], xi)[0]
+    return t
+
+
+def _zero_first(y: np.ndarray, y_trunc: float):
+    """``(order, n_zero, v)``: the stable order putting the zero rows of y
+    first, their count, and each ordered row's kernel value (y_trunc or y)."""
+    positive = y > 0.0
+    order = np.argsort(positive, kind="stable")
+    n_zero = y.size - int(np.count_nonzero(positive))
+    v = y[order]
+    v[:n_zero] = y_trunc
+    return order, n_zero, v
 
 
 # Relative eigenvalue floor of the rank check. On the Gram matrix scaled to
@@ -558,17 +538,17 @@ def _check_response(y, y_trunc: float, spec: ModelSpec) -> np.ndarray:
 def log_likelihood(
     y, y_trunc: float, spec: ModelSpec, coef: CoefVector
 ) -> float:
-    """Model log-likelihood, summed in row order with compensated summation.
+    """Model log-likelihood: the compensated sum (``math.fsum``, correctly
+    rounded, so the row order does not matter) of the kernel's row terms.
 
     Every response must be exactly zero or strictly above ``y_trunc``;
-    offending rows are reported. A non-finite total (e.g. a zero observed
-    where the model puts no mass) raises.
+    offending rows are reported. A non-finite total (e.g. a positive y past
+    a ``xi < 0`` support end) raises.
     """
     y = _check_response(y, y_trunc, spec)
     eta1, eta2 = _linear_predictors(spec, coef)
-    pi = linkinv_logit(eta1)
-    mu = linkinv_log(eta2)
-    total = math.fsum(_loglik_terms(y, pi, expit(-eta1), mu, coef.xi, y_trunc))
+    order, n_zero, v = _zero_first(y, y_trunc)
+    total = math.fsum(_loglik_terms(v, n_zero, eta1[order], eta2[order], coef.xi))
     if not np.isfinite(total):
         raise ValueError("log-likelihood is not finite for these coefficients")
     return total

@@ -9,15 +9,15 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 import zitpo.model as model
+from loglik_reference import loglik_terms, pos_row_derivs, zero_row_derivs
 from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, GpdScale, gpd_cdf, gpd_pdf, mean_quantile_level
 from zitpo.model import (
     _SERIES_X,
     _check_rank,
     _loglik_terms,
-    _pos_row_derivs,
     _redundant_columns,
-    _zero_row_derivs,
+    _zero_first,
     CoefVector,
     ModelSpec,
     ZitpoParams,
@@ -282,8 +282,8 @@ class TestLogLikelihood:
         assert truth_wins >= 95
 
     def test_linear_predictors_are_formed_once(self, monkeypatch):
-        # one X1 beta1 serves both pi and 1 - pi; the value is the compensated
-        # sum of the row terms, to the last bit
+        # one X1 beta1 serves every row; the value is the compensated sum of
+        # the kernel's row terms, to the last bit
         y, spec = simulate_dataset(reference_config(n=1000, xi=0.25, seed=11), 0)
         coef = CoefVector(beta1=np.full(6, 0.1), beta2=np.full(6, 0.2), xi=0.25)
         calls = []
@@ -296,9 +296,9 @@ class TestLogLikelihood:
         monkeypatch.setattr(model, "_linear_predictors", counted)
         got = log_likelihood(y, 0.125, spec, coef)
         assert len(calls) == 1
-        eta1 = spec.x1 @ coef.beta1
-        mu = np.exp(spec.x2 @ coef.beta2)
-        assert got == math.fsum(_loglik_terms(y, expit(eta1), expit(-eta1), mu, 0.25, 0.125))
+        eta1, eta2 = spec.x1 @ coef.beta1, spec.x2 @ coef.beta2
+        order, n_zero, v = _zero_first(y, 0.125)
+        assert got == math.fsum(_loglik_terms(v, n_zero, eta1[order], eta2[order], 0.25))
 
     def test_shape_branch_continuity(self):
         rng = np.random.default_rng(9)
@@ -316,7 +316,7 @@ def row_term(y, y_trunc):
     def f(v):
         yy = np.array([y])
         return float(
-            _loglik_terms(yy, expit(v[0]), expit(-v[0]), math.exp(v[1]), v[2], y_trunc)[0]
+            loglik_terms(yy, expit(v[0]), expit(-v[0]), math.exp(v[1]), v[2], y_trunc)[0]
         )
 
     return f
@@ -337,9 +337,9 @@ class TestLoglikDerivs:
             # zero rows and positive rows, kept inside a xi < 0 support
             y = 0.0 if rng.random() < 0.4 else y_trunc + rng.uniform(0.05, 2.0) * mu
             if y == 0.0:
-                _, g, h = _zero_row_derivs(eta[:1], eta[1:2], xi, y_trunc)
+                _, g, h = zero_row_derivs(eta[:1], eta[1:2], xi, y_trunc)
             else:
-                _, g, h = _pos_row_derivs(np.array([y]), eta[:1], eta[1:2], xi)
+                _, g, h = pos_row_derivs(np.array([y]), eta[:1], eta[1:2], xi)
             f = row_term(y, y_trunc)
             g_num = numeric_gradient(f, eta)
             h_num = numeric_hessian(f, eta)
@@ -352,7 +352,7 @@ class TestLoglikDerivs:
     def test_positive_rows_separate_in_eta1(self):
         y = np.array([0.3, 1.0, 7.0])
         eta1 = np.array([-2.0, 0.0, 3.0])
-        _, g, h = _pos_row_derivs(y, eta1, np.zeros(3), 0.25)
+        _, g, h = pos_row_derivs(y, eta1, np.zeros(3), 0.25)
         pi = expit(eta1)
         assert np.allclose(g[0], 1.0 - pi, rtol=1e-15)
         assert np.allclose(h[0], -pi * (1.0 - pi), rtol=1e-15)
@@ -366,11 +366,11 @@ class TestLoglikDerivs:
         eta2 = np.array([0.1, 0.7, -0.2, 0.4])
         y0 = 0.125
         mu = np.exp(eta2)
-        _, g, h = _pos_row_derivs(y, eta1[2:], eta2[2:], 0.0)
+        _, g, h = pos_row_derivs(y, eta1[2:], eta2[2:], 0.0)
         assert np.allclose(g[1], -1.0 + y / mu[2:], rtol=1e-14)
         assert np.allclose(h[3], -y / mu[2:], rtol=1e-14)
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(h))
-        _, g, h = _zero_row_derivs(eta1[:2], eta2[:2], 0.0, y0)
+        _, g, h = zero_row_derivs(eta1[:2], eta2[:2], 0.0, y0)
         q = expit(eta1[:2]) * np.exp(-y0 / mu[:2])
         r = q / (1.0 - q)
         assert np.allclose(g[1], -r * y0 / mu[:2], rtol=1e-13)
@@ -381,7 +381,7 @@ class TestLoglikDerivs:
         # so the term is log(1) = 0 whatever eta2 and xi are
         xi, y0 = -0.5, 1.0
         eta2 = math.log(0.2)  # support end mu*(1-xi)/(-xi) = 0.6 < y0
-        _, g, h = _zero_row_derivs(np.array([0.4]), np.array([eta2]), xi, y0)
+        _, g, h = zero_row_derivs(np.array([0.4]), np.array([eta2]), xi, y0)
         assert np.all(g == 0.0) and np.all(h == 0.0)
 
 
@@ -399,10 +399,10 @@ def kernel_rows(kind, x, xi, y_trunc=0.125, seed=0):
     if kind == "zero":
         eta2 = np.log(y_trunc * c / w) if y_trunc > 0.0 else rng.normal(0.3, 1.0, n)
         y = np.zeros(n)
-        return (lambda sel: _zero_row_derivs(eta1[sel], eta2[sel], xi, y_trunc)), y, eta1, eta2
+        return (lambda sel: zero_row_derivs(eta1[sel], eta2[sel], xi, y_trunc)), y, eta1, eta2
     eta2 = rng.normal(0.3, 1.0, n)
     y = w * np.exp(eta2) / c
-    return (lambda sel: _pos_row_derivs(y[sel], eta1[sel], eta2[sel], xi)), y, eta1, eta2
+    return (lambda sel: pos_row_derivs(y[sel], eta1[sel], eta2[sel], xi)), y, eta1, eta2
 
 
 def rows_alone(evaluate, n):
@@ -443,7 +443,7 @@ class TestRowKindKernels:
         block = evaluate(slice(None))
         for got, ref in zip(block, rows_alone(evaluate, x.size)):
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
-        ref = _loglik_terms(y, expit(eta1), expit(-eta1), np.exp(eta2), xi, 0.125)
+        ref = loglik_terms(y, expit(eta1), expit(-eta1), np.exp(eta2), xi, 0.125)
         assert np.all(np.abs(block[0] - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
         assert all(np.all(np.isfinite(a)) for a in block)
 
@@ -483,10 +483,11 @@ class TestRowKindKernels:
 
 
 class TestLoglikTerms:
-    # (0, XI_TOL) is left out: there _loglik_terms takes the exponential branch
+    # (0, XI_TOL) is left out: there the closed forms take their exponential branch
     @pytest.mark.parametrize("xi", [-0.3, -1e-6, 0.0, 1e-6, 1e-3, 0.25, 0.7])
     @pytest.mark.parametrize("y_trunc", [0.0, 0.125])
     def test_fused_terms_match_loglik_terms(self, xi, y_trunc):
+        # five blocks of rows, zero rows first, against the closed forms
         rng = np.random.default_rng(23)
         n = 20000
         eta1 = rng.normal(0.0, 3.0, n)
@@ -496,11 +497,9 @@ class TestLoglikTerms:
         if xi < 0.0:
             # positive rows inside the support end mu*(1 - xi)/(-xi)
             y = np.where(y < 0.9 * mu * (1.0 - xi) / -xi, y, 0.0)
-        zero = y == 0.0
-        t = np.empty(n)
-        t[zero], _, _ = _zero_row_derivs(eta1[zero], eta2[zero], xi, y_trunc)
-        t[~zero], _, _ = _pos_row_derivs(y[~zero], eta1[~zero], eta2[~zero], xi)
-        ref = _loglik_terms(y, expit(eta1), expit(-eta1), mu, xi, y_trunc)
+        order, n_zero, v = _zero_first(y, y_trunc)
+        t = _loglik_terms(v, n_zero, eta1[order], eta2[order], xi)
+        ref = loglik_terms(y, expit(eta1), expit(-eta1), mu, xi, y_trunc)[order]
         assert np.all(np.isfinite(ref))
         assert np.all(np.abs(t - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -508,21 +507,37 @@ class TestLoglikTerms:
         # log(1 - pi) from 1 - pi itself: at eta1 = 40 pi rounds to 1, yet the
         # term is log(expit(-40)) = -40 to rounding
         eta1 = np.array([12.0, 40.0])
-        y = np.zeros(2)
-        t = _loglik_terms(y, expit(eta1), expit(-eta1), np.ones(2), 0.25, 0.0)
+        t = _loglik_terms(np.zeros(2), 2, eta1, np.zeros(2), 0.25)
         np.testing.assert_allclose(t, -eta1 - np.log1p(np.exp(-eta1)), rtol=1e-15)
 
     def test_terms_beyond_the_support_end(self):
         # support end mu*(1-xi)/(-xi) = 0.6: a zero row with its threshold past
-        # it has log(1) = 0, a positive row past it has no density
+        # it has log(1) = 0, a positive row past it has no density: -inf
         xi, y0 = -0.5, 1.0
         eta2 = np.full(3, math.log(0.2))
-        t, _, _ = _zero_row_derivs(np.full(1, 0.4), eta2[:1], xi, y0)
+        t, _, _ = zero_row_derivs(np.full(1, 0.4), eta2[:1], xi, y0)
         assert t[0] == 0.0
-        t, _, _ = _pos_row_derivs(np.array([1.5, 5.0]), np.full(2, 0.4), eta2[1:], xi)
-        assert not np.any(np.isfinite(t))
-        ref = _loglik_terms(np.zeros(1), expit(0.4), expit(-0.4), 0.2, xi, y0)
+        t, _, _ = pos_row_derivs(np.array([1.5, 5.0]), np.full(2, 0.4), eta2[1:], xi)
+        assert np.all(t == -math.inf)
+        ref = loglik_terms(np.zeros(1), expit(0.4), expit(-0.4), 0.2, xi, y0)
         assert ref[0] == 0.0
+
+
+class TestSupportEnd:
+    # xi = -0.3, mu = 1: the support ends at mu*(1 - xi)/(-xi) = 13/3
+    P = ZitpoParams(pi=0.4, mu=1.0, xi=-0.3, y_trunc=0.125)
+
+    @pytest.mark.parametrize("y", [4.4, 5.0, 1e6])
+    def test_log_density_past_the_end_is_minus_infinity(self, y):
+        assert log_density(y, self.P) == -math.inf
+        assert math.isfinite(log_density(4.3, self.P))
+
+    def test_log_likelihood_past_the_end_is_not_finite(self):
+        spec = intercept_spec(3)
+        coef = CoefVector(beta1=[math.log(0.4 / 0.6)], beta2=[0.0], xi=-0.3)
+        assert math.isfinite(log_likelihood(np.array([0.0, 1.0, 4.3]), 0.125, spec, coef))
+        with pytest.raises(ValueError, match="not finite"):
+            log_likelihood(np.array([0.0, 1.0, 5.0]), 0.125, spec, coef)
 
 
 def rank_message(*names):
