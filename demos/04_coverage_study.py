@@ -2,6 +2,8 @@
 # confidence-interval coverage replicate by replicate. The full reference
 # battery is available via reference_grid() (2500 replicates per cell).
 
+import json
+
 from zitpo import coverage_study, reference_config, reference_grid
 
 cfg = reference_config(n=500, reps=40, xi=0.25, seed=3)
@@ -27,4 +29,4 @@ for cell in reference_grid():
 
 # Reports serialize deterministically for archiving:
 print("\nJSON head:")
-print("\n".join(report.to_json().splitlines()[:8]))
+print("\n".join(json.dumps(report.to_dict(), sort_keys=True, indent=2).splitlines()[:8]))

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input error, 2 fit did not converge (the report is
 still written). Reports are JSON with sorted keys and full-precision
-numbers; table rendering on stdout rounds for display only.
+numbers, a non-finite number written as ``null``; table rendering on stdout
+rounds for display only. This module writes every report file: JSON through
+``_write_json``, CSV through ``_write_columns``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .simulation import (
     REFERENCE_BETA1,
     REFERENCE_BETA2,
     SimConfig,
-    _num,
     coverage_study,
     reference_config,
     reference_grid,
@@ -49,10 +50,11 @@ def sig_code(p: float) -> str:
     return ""
 
 
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+def _add_fit_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    """The data and model flags; ``required`` marks --response and --trunc."""
     parser.add_argument("--data", required=True, help="input CSV path")
-    parser.add_argument("--response", required=True, help="response column name")
-    parser.add_argument("--trunc", type=float, required=True, help="truncation threshold")
+    parser.add_argument("--response", required=required, help="response column name")
+    parser.add_argument("--trunc", type=float, required=required, help="truncation threshold")
     parser.add_argument("--pi-formula", default="", help="terms for the probability part")
     parser.add_argument("--mu-formula", default="", help="terms for the mean part")
     parser.add_argument(
@@ -147,11 +149,11 @@ def _prepare(args):
 def _coef_rows(names, est, se, converged):
     rows = []
     for j, name in enumerate(names):
-        row = {"name": name, "estimate": _num(est[j])}
+        row = {"name": name, "estimate": est[j]}
         if converged and np.isfinite(se[j]) and se[j] > 0.0:
             z = est[j] / se[j]
             p = 2.0 * norm_sf(abs(z))
-            row.update({"se": _num(se[j]), "z": _num(z), "p": _num(p), "sig": sig_code(p)})
+            row.update({"se": se[j], "z": z, "p": p, "sig": sig_code(p)})
         else:
             row.update({"se": None, "z": None, "p": None, "sig": ""})
         rows.append(row)
@@ -167,7 +169,7 @@ def run_report(args, ds, fit: FitResult, levels) -> dict:
             "response": args.response,
             "pi_formula": args.pi_formula,
             "mu_formula": args.mu_formula,
-            "y_trunc": _num(ds.y_trunc),
+            "y_trunc": ds.y_trunc,
             "factors": [
                 {"variable": c.variable, "kind": c.kind, "base": c.base}
                 for c in ds.factors
@@ -184,31 +186,38 @@ def run_report(args, ds, fit: FitResult, levels) -> dict:
         "fit": {
             "converged": fit.converged,
             "iterations": fit.iterations,
-            "loglik": _num(fit.loglik),
+            "loglik": fit.loglik,
             "pi_part": _coef_rows(
                 fit.names1, fit.coef.beta1, fit.se[:p1], fit.converged
             ),
             "mu_part": _coef_rows(
                 fit.names2, fit.coef.beta2, fit.se[p1:-1], fit.converged
             ),
-            "xi": {
-                "estimate": _num(fit.coef.xi),
-                "se": _num(fit.se[-1]),
-                "fixed": fit.xi_fixed,
-            },
+            "xi": {"estimate": fit.coef.xi, "se": fit.se[-1], "fixed": fit.xi_fixed},
         },
         "seed": None,
     }
     if args.trace:
         report["fit"]["trace"] = [
-            {"iteration": i, "loglik": _num(l), "grad_norm": _num(g)}
+            {"iteration": i, "loglik": l, "grad_norm": g}
             for i, l, g in fit.trace
         ]
     return report
 
 
+def _nulled(obj):
+    """``obj`` with each non-finite float in its dicts, lists and tuples as None."""
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    """The one report text rule: sorted keys, two-space indent, a
+    non-finite number as ``null``; to ``path``, or stdout without one."""
+    text = json.dumps(_nulled(obj), sort_keys=True, indent=2)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -217,8 +226,8 @@ def _write_json(obj, path: str | None) -> None:
 
 
 def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length arrays as CSV columns: integers as they are,
-    floats as their full-precision ``repr``.
+    """Write equal-length arrays as CSV columns: floats as their
+    full-precision ``repr``, integers and strings as they are.
 
     Rows are formatted a block at a time, one conversion per distinct array
     in the block, so an array passed twice is formatted once.
@@ -231,8 +240,7 @@ def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> N
             for col in columns:
                 if id(col) not in text:
                     values = col[start : start + _WRITE_BLOCK_ROWS].tolist()
-                    floats = col.dtype.kind not in "iu"
-                    text[id(col)] = list(map(repr, values)) if floats else values
+                    text[id(col)] = list(map(repr, values)) if col.dtype.kind == "f" else values
             writer.writerows(zip(*(text[id(col)] for col in columns)))
 
 
@@ -257,10 +265,10 @@ def cmd_fit(args) -> int:
     _write_json(report, args.out)
     _print_coef_table("Probability part (logit link):", report["fit"]["pi_part"])
     _print_coef_table("Mean part (log link):", report["fit"]["mu_part"])
-    xi = report["fit"]["xi"]
-    se = f" (se {xi['se']:.3f})" if xi["se"] else ""
-    ll = report["fit"]["loglik"]
-    print(f"xi: {xi['estimate']:.4f}{se}   loglik: {ll if ll is None else format(ll, '.3f')}")
+    se = fit.se[-1]
+    se = f" (se {se:.3f})" if math.isfinite(se) and se else ""
+    ll = format(fit.loglik, ".3f") if math.isfinite(fit.loglik) else None
+    print(f"xi: {fit.coef.xi:.4f}{se}   loglik: {ll}")
     if not fit.converged:
         print("warning: fit did not converge", file=sys.stderr)
         return 2
@@ -313,9 +321,9 @@ def cmd_lrt(args) -> int:
                 {
                     "term": term,
                     "part": part,
-                    "statistic": _num(test.statistic),
+                    "statistic": test.statistic,
                     "df": test.df,
-                    "p_value": _num(test.p_value),
+                    "p_value": test.p_value,
                     "sig": sig_code(test.p_value),
                 }
             )
@@ -332,13 +340,10 @@ def cmd_lrt(args) -> int:
     return 0
 
 
-def _not_a_report(flag: str, exc: Exception) -> ValueError:
-    return ValueError(f"{flag} does not hold a zitpo fit report ({type(exc).__name__}: {exc})")
-
-
-def _fit_from_report(report, flag: str = "--report") -> FitResult:
-    """The stored fit of a ``zitpo fit`` report; a ``null`` SE becomes NaN.
-    A report of another shape raises ValueError naming ``flag``."""
+def _read_report(report, flag: str) -> tuple[FitResult, tuple]:
+    """The stored fit of a ``zitpo fit`` report, a ``null`` SE read as NaN, and
+    the arguments of :func:`_read_model` after the CSV path. A report of
+    another shape raises ValueError naming ``flag``."""
     try:
         fit_part, data = report["fit"], report["data"]
         pi_part, mu_part, xi = fit_part["pi_part"], fit_part["mu_part"], fit_part["xi"]
@@ -351,7 +356,7 @@ def _fit_from_report(report, flag: str = "--report") -> FitResult:
             xi=_shape_value(xi["estimate"], f"{flag}: fit.xi.estimate"),
         )
         se = np.array(se, dtype=float)
-        return FitResult(
+        fit = FitResult(
             coef=coef,
             se=se,
             cov=np.full((se.size, se.size), np.nan),
@@ -365,34 +370,39 @@ def _fit_from_report(report, flag: str = "--report") -> FitResult:
             y_trunc=report["model"]["y_trunc"],
             xi_fixed=xi["fixed"],
         )
-    except (KeyError, TypeError) as exc:
-        raise _not_a_report(flag, exc) from None
-
-
-def _model_from_report(report, flag: str) -> tuple:
-    """The arguments of :func:`_read_model` after the CSV path that a
-    ``zitpo fit`` report stores; another shape raises ValueError naming ``flag``."""
-    try:
         model = report["model"]
         factors = tuple(
             ContrastSpec(variable=f["variable"], kind=f["kind"], base=f["base"])
             for f in model["factors"]
         )
-        return (
+        return fit, (
             model["response"], model["y_trunc"], factors,
             model["pi_formula"], model["mu_formula"], model["levels"],
         )
     except (KeyError, TypeError) as exc:
-        raise _not_a_report(flag, exc) from None
+        raise ValueError(
+            f"{flag} does not hold a zitpo fit report ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _fit_from_report(report, flag: str = "--report") -> FitResult:
+    """The stored fit alone of a ``zitpo fit`` report (see :func:`_read_report`)."""
+    return _read_report(report, flag)[0]
+
+
+# Flags whose values a stored report fixes: its model and its shape.
+_REPORT_FIXES = ("response", "trunc", "pi_formula", "mu_formula", "factor", "fix_xi")
 
 
 def cmd_diagnose(args) -> int:
     if args.report:
+        for dest in _REPORT_FIXES:
+            if getattr(args, dest) not in (None, "", []):
+                raise ValueError(f"--{dest.replace('_', '-')} does not apply to --report")
         flag = f"--report {args.report}"
         with open(args.report, encoding="utf-8") as fh:
-            report = _parse_json(fh.read(), flag)
-        fit = _fit_from_report(report, flag)
-        ds, spec, _ = _read_model(args.data, *_model_from_report(report, flag))
+            fit, model_args = _read_report(_parse_json(fh.read(), flag), flag)
+        ds, spec, _ = _read_model(args.data, *model_args)
         if not fit.converged:
             print("error: stored fit did not converge", file=sys.stderr)
             return 2
@@ -481,14 +491,14 @@ def cmd_coverage(args) -> int:
         )
     else:
         raise ValueError(f"unknown preset {args.preset!r}")
-    report = coverage_study(cfg, collect_estimates=args.estimates_csv is not None)
+    report = coverage_study(cfg)
     _write_json(report.to_dict(), args.out)
     if args.estimates_csv:
-        with open(args.estimates_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "parameter", "estimate", "se", "covered"])
-            for row in report.estimates:
-                writer.writerow([row[0], row[1], repr(row[2]), repr(row[3]), int(row[4])])
+        replicate, parameter, est, se, covered = map(np.array, zip(*report.estimates))
+        header = ["replicate", "parameter", "estimate", "se", "covered"]
+        _write_columns(
+            args.estimates_csv, header, [replicate, parameter, est, se, covered.astype(int)]
+        )
     for p in report.params:
         print(f"  {p.name:22s} mean {p.mean:>8.4f}  bias {p.bias:>8.4f}  "
               f"coverage {p.coverage:.3f}")
@@ -521,14 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lrt.set_defaults(func=cmd_lrt)
 
     p_diag = sub.add_parser("diagnose", help="residual QQ data and fit summary")
-    p_diag.add_argument("--report", help="reuse a stored fit report")
-    p_diag.add_argument("--data", required=True, help="input CSV path")
-    p_diag.add_argument("--response")
-    p_diag.add_argument("--trunc", type=float)
-    p_diag.add_argument("--pi-formula", default="")
-    p_diag.add_argument("--mu-formula", default="")
-    p_diag.add_argument("--factor", action="append", default=[])
-    p_diag.add_argument("--fix-xi", type=float, default=None)
+    p_diag.add_argument("--report", help="reuse a stored fit report and its model")
+    _add_fit_flags(p_diag, required=False)
     p_diag.add_argument("--out-csv", required=True, help="write QQ pairs here")
     p_diag.set_defaults(func=cmd_diagnose)
 

@@ -10,8 +10,6 @@ Every replicate owns a counter-based RNG stream derived from
 
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -136,40 +134,14 @@ class CoverageReport:
     n_excluded: int
     exclusion_rate: float
     converged_flags: tuple[bool, ...]
-    estimates: tuple | None = None
+    estimates: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "reps": self.reps,
-            "xi": _num(self.xi),
-            "y_trunc": _num(self.y_trunc),
-            "seed": self.seed,
-            "level": _num(self.level),
-            "n_converged": self.n_converged,
-            "n_excluded": self.n_excluded,
-            "exclusion_rate": _num(self.exclusion_rate),
-            "converged_flags": list(self.converged_flags),
-            "params": [
-                {
-                    "name": p.name,
-                    "truth": _num(p.truth),
-                    "mean": _num(p.mean),
-                    "bias": _num(p.bias),
-                    "sd": _num(p.sd),
-                    "coverage": _num(p.coverage),
-                }
-                for p in self.params
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def _num(v: float):
-    v = float(v)
-    return v if math.isfinite(v) else None
+        """The report's fields as plain data, without the per-replicate
+        ``estimates``; an undefined summary (one replicate's sd) stays NaN."""
+        out = dict(vars(self), params=[dict(vars(p)) for p in self.params])
+        del out["estimates"]
+        return out
 
 
 def rtrunc_gpd(u, mu, xi: float, y_trunc: float):
@@ -269,13 +241,15 @@ def _run_replicate(cfg: SimConfig, rep_index: int):
     return True, fit.estimates, fit.se, covered
 
 
-def coverage_study(cfg: SimConfig, *, collect_estimates: bool = False) -> CoverageReport:
+def coverage_study(cfg: SimConfig) -> CoverageReport:
     """Simulate, fit and score CI coverage over ``cfg.reps`` replicates.
 
     Replicates run one after another, each from its own RNG stream (a thread
     pool ran the small numpy calls of many short fits slower than one thread).
     Replicates whose fit does not converge are excluded from the aggregates
-    and counted; more than 20% of them aborts the study.
+    and counted; more than 20% of them aborts the study. The report's
+    ``estimates`` holds one ``(replicate, parameter, estimate, se, covered)``
+    row per parameter of every converged replicate.
     """
     slots = [_run_replicate(cfg, r) for r in range(cfg.reps)]
 
@@ -307,15 +281,12 @@ def coverage_study(cfg: SimConfig, *, collect_estimates: bool = False) -> Covera
             )
         )
 
-    estimates = None
-    if collect_estimates:
-        rows = []
-        for r, s in enumerate(slots):
-            if not s[0]:
-                continue
-            for j, name in enumerate(names):
-                rows.append((r, name, float(s[1][j]), float(s[2][j]), bool(s[3][j])))
-        estimates = tuple(rows)
+    estimates = tuple(
+        (r, name, float(s[1][j]), float(s[2][j]), bool(s[3][j]))
+        for r, s in enumerate(slots)
+        if s[0]
+        for j, name in enumerate(names)
+    )
 
     return CoverageReport(
         n=cfg.n,

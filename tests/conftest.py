@@ -21,7 +21,7 @@ NULL_SEED = 20260809
 def desk_coverage():
     """Reference design at desk scale: n=1000, xi=0.25, 300 replicates."""
     cfg = reference_config(n=1000, reps=300, xi=0.25, seed=COVERAGE_SEED)
-    report = coverage_study(cfg, collect_estimates=True)
+    report = coverage_study(cfg)
     return cfg, report
 
 

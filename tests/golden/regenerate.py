@@ -43,8 +43,11 @@ def main(names: list[str]) -> int:
             continue
         with tempfile.TemporaryDirectory() as tmp:
             record, files = g.run_case(case, Path(tmp))
-        if (g.GOLDEN_DIR / case.name / "run.json").exists():
+        try:
             old_record, old_files = g.load_golden(case)
+        except FileNotFoundError:
+            print(f"{case.name}: new")
+        else:
             same = "same" if old_record == record else "CHANGED"
             print(f"{case.name}/run.json: exit codes, stdout and stderr {same}")
             for name, text in files.items():
@@ -52,8 +55,6 @@ def main(names: list[str]) -> int:
                 diff.file(name, old_files[name], text)
                 beyond = f", {len(diff.problems)} beyond tolerance" if diff.problems else ""
                 print(f"{case.name}/{name}: largest relative change {diff.max_rel:.3g}{beyond}")
-        else:
-            print(f"{case.name}: new")
         g.write_golden(case, record, files)
     return 0
 

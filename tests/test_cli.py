@@ -439,6 +439,26 @@ class TestDiagnose:
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
 
+    @pytest.mark.parametrize("flag", [
+        ["--response", "y"], ["--trunc", "0"], ["--pi-formula", "x"], ["--mu-formula", "x"],
+        ["--factor", "g"], ["--fix-xi", "0"],
+    ], ids=lambda flag: flag[0])
+    def test_report_rejects_the_flags_it_fixes(self, tmp_path, bernoulli_exp_csv, capsys, flag):
+        path, _ = bernoulli_exp_csv
+        report_path = tmp_path / "report.json"
+        assert main([
+            "fit", "--data", path, "--response", "y", "--trunc", "0",
+            "--out", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "diagnose", "--report", str(report_path), "--data", path, *flag,
+            "--out-csv", str(tmp_path / "unused.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag[0]} does not apply to --report\n"
+        assert not (tmp_path / "unused.csv").exists()
+
     def test_no_positive_observations_is_an_error(self, tmp_path, bernoulli_exp_csv):
         path, _ = bernoulli_exp_csv
         report_path = tmp_path / "report.json"
@@ -608,7 +628,7 @@ class TestCoverage:
 
     def test_report_text_is_to_json_on_file_and_stdout(self, tmp_path, capsys):
         cfg = reference_config(n=400, reps=3, xi=0.25, seed=5)
-        want = coverage_study(cfg).to_json() + "\n"
+        want = json.dumps(coverage_study(cfg).to_dict(), sort_keys=True, indent=2) + "\n"
         argv = ["coverage", "--preset", "reference", "--n", "400", "--reps", "3",
                 "--xi", "0.25", "--seed", "5"]
         out = tmp_path / "cov.json"
@@ -634,6 +654,57 @@ class TestCoverage:
             rows = list(csv.reader(fh))
         assert rows[0] == ["replicate", "parameter", "estimate", "se", "covered"]
         assert len(rows) == 1 + 13 * report["n_converged"]
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"report holds the token {token}")
+
+
+class TestWriteJson:
+    def test_non_finite_numbers_become_null_at_any_depth(self, capsys):
+        obj = {
+            "a": float("nan"),
+            "b": [1.5, float("inf"), (np.float64(-np.inf), {"c": np.float64(np.nan)})],
+            "d": {"e": np.float64(0.1) + np.float64(0.2), "f": 3, "g": None, "h": "x"},
+        }
+        cli._write_json(obj, None)
+        text = capsys.readouterr().out
+        assert json.loads(text, parse_constant=_refuse_constant) == {
+            "a": None,
+            "b": [1.5, None, [None, {"c": None}]],
+            "d": {"e": 0.30000000000000004, "f": 3, "g": None, "h": "x"},
+        }
+        assert "0.30000000000000004" in text
+
+    def test_numpy_float_writes_the_digits_of_float(self, tmp_path):
+        values = [np.float64(0.1) * 3, np.float64(1e-310), np.float64(-2.5e300)]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        cli._write_json({"v": values}, str(a))
+        cli._write_json({"v": [float(v) for v in values]}, str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_input_is_left_unchanged(self, tmp_path):
+        obj = {"a": [float("nan")], "b": (float("inf"),)}
+        cli._write_json(obj, str(tmp_path / "r.json"))
+        assert np.isnan(obj["a"][0]) and obj["b"] == (float("inf"),)
+
+    def test_unconverged_fit_and_one_replicate_study_write_no_nan_token(
+        self, tmp_path, bernoulli_exp_csv, monkeypatch
+    ):
+        import zitpo.estimation as estimation
+
+        path, _ = bernoulli_exp_csv
+        fit_out, cov_out = tmp_path / "fit.json", tmp_path / "cov.json"
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_MAX_ITER", 2)
+            assert main(["fit", "--data", path, "--response", "y", "--trunc", "0",
+                         "--out", str(fit_out)]) == 2
+        assert main(["coverage", "--n", "300", "--reps", "1", "--xi", "0.25",
+                     "--out", str(cov_out)]) == 0
+        fit = json.loads(fit_out.read_text(), parse_constant=_refuse_constant)["fit"]
+        assert fit["xi"]["se"] is None and fit["pi_part"][0]["se"] is None
+        cov = json.loads(cov_out.read_text(), parse_constant=_refuse_constant)
+        assert [p["sd"] for p in cov["params"]] == [None] * 13
 
 
 class TestBadThreshold:

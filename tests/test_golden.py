@@ -11,14 +11,8 @@ def test_cli_run_matches_its_golden(case, tmp_path):
     assert diff.problems == []
 
 
-def test_reports_write_no_non_finite_token():
-    for case in g.CASES:
-        for name, text in g.load_golden(case)[1].items():
-            if name.endswith(".json"):
-                g.strict_json(text)
-
-
-def test_unconverged_and_one_replicate_goldens_hold_nulls():
+def test_goldens_keep_their_null_cases():
+    # a regeneration must not lose the runs that write null
     fit = g.strict_json((g.GOLDEN_DIR / "fit_unconverged" / "fit.json").read_text())["fit"]
     assert fit["converged"] is False and fit["xi"]["se"] is None
     assert all(r["se"] is None for r in fit["pi_part"] + fit["mu_part"])

@@ -1,5 +1,7 @@
 """Random generation and coverage-study harness tests."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -148,9 +150,16 @@ class TestCoverageStudy:
             assert p.coverage in (0.0, 1.0)
             assert p.bias == pytest.approx(p.mean - p.truth, abs=1e-15)
 
+    def test_to_dict_is_every_field_but_the_estimates_table(self):
+        report = coverage_study(reference_config(n=400, reps=1, xi=0.25, seed=6))
+        d = report.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(report)} - {"estimates"}
+        assert d["params"][0] == dataclasses.asdict(report.params[0])
+        assert all(math.isnan(p["sd"]) for p in d["params"])
+
     def test_estimates_table(self):
         cfg = reference_config(n=400, reps=3, xi=0.25, seed=6)
-        report = coverage_study(cfg, collect_estimates=True)
+        report = coverage_study(cfg)
         rows = [r for r in report.estimates if r[1] == "xi"]
         assert len(rows) == report.n_converged
 
