@@ -11,13 +11,34 @@ Missing inputs are created first; existing inputs are never rewritten.
 
 from __future__ import annotations
 
+import csv
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import golden_cases as g  # noqa: E402
+
+
+def write_factor_csv(path) -> None:
+    """The factor input: two categorical columns and one numeric, n = 600."""
+    rng = np.random.default_rng(4)
+    n = 600
+    age = rng.choice(["a15", "a25", "a35"], n)
+    gender = rng.choice(["m", "w"], n)
+    x = rng.normal(0.0, 1.0, n)
+    eta1 = -0.2 + 0.5 * (age == "a25") + 0.9 * (age == "a35") + 0.3 * (gender == "w") + 0.4 * x
+    eta2 = 1.2 + 0.3 * (age == "a35") + 0.2 * x - 0.1 * (age == "a15") * x
+    pi = 1.0 / (1.0 + np.exp(-eta1))
+    y = np.where(rng.random(n) < pi, rng.exponential(1.0, n) * np.exp(eta2), 0.0)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "age", "gender", "x"])
+        for row in zip(y.tolist(), age, gender, x.tolist()):
+            writer.writerow([repr(row[0]), row[1], row[2], repr(row[3])])
 
 
 def write_inputs() -> None:
@@ -29,7 +50,7 @@ def write_inputs() -> None:
         main(["simulate", "--n", "600", "--xi", "0.25", "--seed", "6", "--out", str(sim)])
     factor = g.INPUT_DIR / "factor.csv"
     if not factor.exists():
-        g.write_factor_csv(factor)
+        write_factor_csv(factor)
 
 
 def main(names: list[str]) -> int:

@@ -25,8 +25,6 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 INPUT_DIR = GOLDEN_DIR / "inputs"
 REL_TOL = 1e-9
@@ -76,24 +74,6 @@ CASES = (
     Case("coverage_grid_one_rep", (("coverage", "--preset", "reference-grid", "--reps", "1",
                                     "--out", "grid.json"),), ("grid.json",)),
 )
-
-
-def write_factor_csv(path) -> None:
-    """The factor input: two categorical columns and one numeric, n = 600."""
-    rng = np.random.default_rng(4)
-    n = 600
-    age = rng.choice(["a15", "a25", "a35"], n)
-    gender = rng.choice(["m", "w"], n)
-    x = rng.normal(0.0, 1.0, n)
-    eta1 = -0.2 + 0.5 * (age == "a25") + 0.9 * (age == "a35") + 0.3 * (gender == "w") + 0.4 * x
-    eta2 = 1.2 + 0.3 * (age == "a35") + 0.2 * x - 0.1 * (age == "a15") * x
-    pi = 1.0 / (1.0 + np.exp(-eta1))
-    y = np.where(rng.random(n) < pi, rng.exponential(1.0, n) * np.exp(eta2), 0.0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "age", "gender", "x"])
-        for row in zip(y.tolist(), age, gender, x.tolist()):
-            writer.writerow([repr(row[0]), row[1], row[2], repr(row[3])])
 
 
 def run_case(case: Case, workdir: Path) -> tuple[dict, dict[str, str]]:
