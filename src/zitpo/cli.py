@@ -10,7 +10,6 @@ rounds for display only. This module writes every report file: JSON through
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -226,22 +225,32 @@ def _write_json(obj, path: str | None) -> None:
 
 
 def _write_columns(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length arrays as CSV columns: floats as their
-    full-precision ``repr``, integers and strings as they are.
+    """Write equal-length arrays as CSV columns, byte for byte as
+    ``csv.writer`` would: floats as their full-precision ``repr``, integers
+    and strings as they are, a string quoted where it holds ``,"\\r\\n``.
 
     Rows are formatted a block at a time, one conversion per distinct array
     in the block, so an array passed twice is formatted once.
     """
+
+    def write(rows) -> None:  # a row of one empty cell is written ""
+        fh.write("".join([(",".join(row) or '""') + "\r\n" for row in rows]))
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        write([map(_csv_field, header)])
         for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             text: dict[int, list] = {}
             for col in columns:
                 if id(col) not in text:
                     values = col[start : start + _WRITE_BLOCK_ROWS].tolist()
-                    text[id(col)] = list(map(repr, values)) if col.dtype.kind == "f" else values
-            writer.writerows(zip(*(text[id(col)] for col in columns)))
+                    kind = col.dtype.kind
+                    cell = repr if kind == "f" else str if kind in "biu" else _csv_field
+                    text[id(col)] = list(map(cell, values))
+            write(zip(*(text[id(col)] for col in columns)))
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _print_coef_table(title: str, rows) -> None:

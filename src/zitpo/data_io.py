@@ -1,5 +1,10 @@
 """CSV ingestion, truncation recoding and design-matrix construction.
 
+``read_csv`` parses each numeric column into a float64 array once. A plain
+file (ASCII, no ``"``, no empty line, a data row) is read by numpy's C
+tokenizer, any other by the ``csv`` module; both give the same dataset and
+the same errors.
+
 Factors are declared, never inferred; their level order is first appearance
 in the file unless a base/dropped level is named. Treatment coding emits one
 indicator per non-base level, sum coding emits +1 for the own level and -1
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 
@@ -28,8 +34,10 @@ __all__ = [
     "make_model_spec",
 ]
 
-# Rows read and transposed at a time by read_csv.
+# Rows read and transposed at a time by the csv path of read_csv.
 _CHUNK_ROWS = 256
+# The header line of a file and its line end.
+_FIRST_LINE = re.compile(rb"([^\r\n]+)(?:\r\n|\r|\n)")
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,14 @@ class Dataset:
     """Response, raw covariate columns and the truncation threshold.
 
     ``recode_count`` tells how many responses in ``(0, y_trunc]`` were moved
-    to zero on ingestion. Covariate columns stay as strings until a design
-    is built.
+    to zero on ingestion. ``frame`` maps each other column to a float64
+    array if it is not a declared factor and all its cells parse by ``float``
+    to finite numbers, else to its stripped cells; a hand-built one may hold
+    strings anywhere.
     """
 
     y: np.ndarray
-    frame: dict[str, list[str]]
+    frame: dict[str, np.ndarray | list[str]]
     y_trunc: float
     recode_count: int
     factors: tuple[ContrastSpec, ...] = ()
@@ -99,10 +109,63 @@ def read_csv(
     missing cells anywhere and header names given twice are rejected. Of
     several defects, the first in row-major order is reported.
 
-    Rows are read in chunks of ``_CHUNK_ROWS`` and transposed into columns,
-    so no list of row lists outlives its chunk.
+    A plain file is read by ``np.loadtxt``, any other by the ``csv`` module
+    (see the module notes); both give the same dataset and the same errors.
     """
     _check_threshold(y_trunc)
+    text = {c.variable for c in factors} - {response_column}
+    columns = _read_plain(path, response_column, text)
+    if columns is None:
+        columns = _read_rows(path, response_column, factors, text)
+    y = columns.pop(response_column)
+    recode = (y > 0.0) & (y <= y_trunc)
+    y[recode] = 0.0
+    return Dataset(
+        y=y,
+        frame=columns,
+        y_trunc=float(y_trunc),
+        recode_count=int(np.sum(recode)),
+        factors=tuple(factors),
+    )
+
+
+def _read_plain(path, response_column, text) -> dict | None:
+    """The columns of a plain file, parsed by ``np.loadtxt``; ``None`` for
+    any other file, or when the header is at fault, loadtxt rejects a cell,
+    a number is not finite, a response is negative or a factor cell is
+    empty, so that the ``csv`` path gives the result or the message."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first = _FIRST_LINE.match(data)
+    # two line ends around an empty line; the last two need a \r in the file
+    ends = (b"\n\n", b"\n\r", b"\r\r") if b"\r" in data else (b"\n\n",)
+    plain = first and first.end() < len(data) and data.isascii() and b'"' not in data
+    if not plain or any(end in data for end in ends):
+        return None
+    header = [h.strip() for h in first.group(1).decode().split(",")]
+    del data, first
+    if len(set(header)) < len(header) or not text | {response_column} <= set(header):
+        return None
+    dtype = [(f"c{j}", object if name in text else float) for j, name in enumerate(header)]
+    try:
+        table = np.loadtxt(
+            path, dtype, delimiter=",", comments=None, skiprows=1, encoding="utf-8", ndmin=1
+        )
+    except ValueError:
+        return None
+    columns = {
+        name: list(map(str.strip, table[key].tolist())) if name in text else table[key].copy()
+        for (key, _), name in zip(dtype, header)
+    }
+    if any("" in columns[name] for name in text) or np.any(columns[response_column] < 0.0):
+        return None
+    return columns if all(np.isfinite(columns[n]).all() for n in columns.keys() - text) else None
+
+
+def _read_rows(path, response_column, factors, text) -> dict:
+    """The columns of any file, read by the ``csv`` module in chunks of
+    ``_CHUNK_ROWS`` rows transposed into columns, so no list of row lists
+    outlives its chunk; the numeric ones then parsed by ``float``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -147,23 +210,18 @@ def read_csv(
     if short is not None:
         raise ValueError(f"{path}: row {short[0]} has {short[1]} cells, expected {width}")
 
-    columns = dict(zip(header, cells))
-    raw = columns.pop(response_column)
-    try:
-        y = np.fromiter(map(float, raw), float, count=len(raw))
-    except ValueError:
-        y = None
-    if y is None or not np.all(np.isfinite(y) & (y >= 0.0)):
+    columns: dict = dict(zip(header, cells))
+    raw = columns[response_column]
+    for name in columns.keys() - text:
+        try:
+            col = np.fromiter(map(float, columns[name]), float, count=nrows)
+        except ValueError:
+            continue
+        if np.isfinite(col).all():
+            columns[name] = col
+    if columns[response_column] is raw or not np.all(columns[response_column] >= 0.0):
         raise ValueError(_response_defect(path, raw, response_column))
-    recode = (y > 0.0) & (y <= y_trunc)
-    y[recode] = 0.0
-    return Dataset(
-        y=y,
-        frame=columns,
-        y_trunc=float(y_trunc),
-        recode_count=int(np.sum(recode)),
-        factors=tuple(factors),
-    )
+    return columns
 
 
 def _response_defect(path, raw: list[str], response_column: str) -> str:
@@ -243,7 +301,9 @@ def _coded_columns(
     contrast = ds.contrast_for(variable)
     if contrast is None:
         try:
-            col = np.fromiter(map(float, values), float, count=len(values))
+            col = values if isinstance(values, np.ndarray) else np.fromiter(
+                map(float, values), float, count=len(values)
+            )
         except ValueError:
             i, cell = _first_unparseable(values)
             raise ValueError(

@@ -41,6 +41,25 @@ def write_factor_csv(path) -> None:
             writer.writerow([repr(row[0]), row[1], row[2], repr(row[3])])
 
 
+def write_quoted_csv(path) -> None:
+    """The input only the csv module reads: a level holding a comma, which
+    the writer quotes, and non-ASCII levels; n = 400."""
+    rng = np.random.default_rng(8)
+    n = 400
+    levels = np.array(["Bern, Stadt", "Z\u00fcrich", "Gen\u00e8ve", "Basel"])
+    region = levels[rng.integers(0, 4, n)]
+    x = rng.normal(0.0, 1.0, n)
+    eta1 = 0.3 + 0.6 * (region == levels[1]) - 0.4 * (region == levels[2]) + 0.5 * x
+    eta2 = 1.0 + 0.4 * (region == levels[0]) + 0.3 * x
+    pi = 1.0 / (1.0 + np.exp(-eta1))
+    y = np.where(rng.random(n) < pi, rng.exponential(1.0, n) * np.exp(eta2), 0.0)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "region", "x"])
+        for row in zip(y.tolist(), region, x.tolist()):
+            writer.writerow([repr(row[0]), row[1], repr(row[2])])
+
+
 def write_inputs() -> None:
     from zitpo.cli import main
 
@@ -51,6 +70,9 @@ def write_inputs() -> None:
     factor = g.INPUT_DIR / "factor.csv"
     if not factor.exists():
         write_factor_csv(factor)
+    quoted = g.INPUT_DIR / "quoted.csv"
+    if not quoted.exists():
+        write_quoted_csv(quoted)
 
 
 def main(names: list[str]) -> int:

@@ -35,6 +35,9 @@ SIM_FIT = ["--data", "sim.csv", "--response", "y", "--trunc", "0.125",
 FACTOR_FIT = ["--data", "factor.csv", "--response", "y", "--trunc", "0.05",
               "--factor", "age:base=a25", "--factor", "gender",
               "--pi-formula", "age, gender, x", "--mu-formula", "age, x, age:x"]
+# quoted.csv is not plain (a quoted level, non-ASCII levels): the csv module reads it
+QUOTED_FIT = ["--data", "quoted.csv", "--response", "y", "--trunc", "0.05",
+              "--factor", "region", "--pi-formula", "region, x", "--mu-formula", "region, x"]
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,11 @@ CASES = (
         ("diagnose", "--report", "fit.json", "--data", "factor.csv", "--out-csv", "qq.csv"),
     ), ("fit.json", "qq.csv")),
     Case("diagnose_refit", (("diagnose", *SIM_FIT, "--out-csv", "qq.csv"),), ("qq.csv",)),
+    Case("fit_quoted", (("fit", *QUOTED_FIT, "--out", "fit.json"),), ("fit.json",)),
+    Case("diagnose_quoted", (
+        ("fit", *QUOTED_FIT, "--out", "fit.json"),
+        ("diagnose", "--report", "fit.json", "--data", "quoted.csv", "--out-csv", "qq.csv"),
+    ), ("qq.csv",)),
     Case("coverage_reference", (("coverage", "--preset", "reference", "--n", "600",
                                  "--reps", "8", "--seed", "3", "--out", "coverage.json",
                                  "--estimates-csv", "estimates.csv"),),

@@ -1,8 +1,10 @@
 """Cell-by-cell reference implementation of CSV ingestion and design coding.
 
 This is the straightforward row loop that ``zitpo.data_io`` replaced with
-column-wise work. Tests compare the package against it: datasets, designs,
-names, levels and error messages must all be equal.
+column-wise work. It keeps every covariate cell as a string. Tests compare
+the package against it: datasets (a numeric column of the package's against
+these strings parsed by ``float``), designs, names, levels and error
+messages must all be equal.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def _coded_columns(ds, variable, declared_levels=None):
                     f"cannot parse {cell!r} as a number at row {i + 1}, "
                     f"column {variable!r} (declare it as a factor?)"
                 ) from None
+        # a cell that does not parse is named before one that is not finite
+        for i, cell in enumerate(values):
+            if not np.isfinite(col[i]):
+                raise ValueError(
+                    f"cannot use {cell!r} at row {i + 1}, column {variable!r}: "
+                    "covariate values must be finite"
+                )
         return [variable], col.reshape(-1, 1)
 
     if declared_levels is not None and variable in declared_levels:

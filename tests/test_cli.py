@@ -4,9 +4,12 @@ import csv
 import dataclasses
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import zitpo.cli as cli
@@ -705,6 +708,52 @@ class TestWriteJson:
         assert fit["xi"]["se"] is None and fit["pi_part"][0]["se"] is None
         cov = json.loads(cov_out.read_text(), parse_constant=_refuse_constant)
         assert [p["sd"] for p in cov["params"]] == [None] * 13
+
+
+# cell text that csv.writer quotes, doubles or leaves alone
+CELL_TEXT = st.text(st.sampled_from(',"\r\n ab\u00e9'), max_size=5)
+
+
+@st.composite
+def column_tables(draw):
+    """A header and equal-length float, integer and string arrays; an array
+    may appear twice."""
+    n = draw(st.integers(0, 5))
+    kind = st.sampled_from(["float", "int", "str", "again"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        if kind == "again" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "float":
+            columns.append(np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), float))
+        elif kind == "int":
+            values = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n, max_size=n))
+            columns.append(np.array(values, np.int64))
+        else:
+            columns.append(np.array(draw(st.lists(CELL_TEXT, min_size=n, max_size=n)), str))
+    header = draw(st.lists(CELL_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+class TestWriteColumns:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("write_columns")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(table=column_tables())
+    def test_writes_what_csv_writer_writes(self, out_dir, table):
+        header, columns = table
+        want, got = out_dir / "want.csv", out_dir / "got.csv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*(col.tolist() for col in columns)))
+        # blocks of two rows, so most tables span several
+        with mock.patch.object(cli, "_WRITE_BLOCK_ROWS", 2):
+            cli._write_columns(str(got), header, columns)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestBadThreshold:

@@ -47,3 +47,11 @@ def test_comparator_on_csv(want, got, ok):
     diff = g.Diff()
     diff.file("x.csv", want, got)
     assert (diff.problems == []) == ok
+
+
+def test_inputs_cover_both_readers():
+    # quoted.csv holds a quoted level and non-ASCII levels, so the csv module
+    # reads it; the other inputs are plain and go through numpy's tokenizer
+    data = {p.name: p.read_bytes() for p in g.INPUT_DIR.iterdir()}
+    assert b'"' in data["quoted.csv"] and not data["quoted.csv"].isascii()
+    assert all(d.isascii() and b'"' not in d for n, d in data.items() if n != "quoted.csv")

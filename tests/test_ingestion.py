@@ -1,8 +1,12 @@
 """Column-wise ingestion against the cell-by-cell reference in
 ``ingest_reference``: equal datasets, designs and error messages, and the
-first defect in row-major order wins when a file has several."""
+first defect in row-major order wins when a file has several. Plain files
+go through numpy's C tokenizer, the others through the ``csv`` module, and
+both must agree with the reference."""
 
 import csv
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ import ingest_reference as ref
 import zitpo.data_io as data_io
 from zitpo.data_io import ContrastSpec, make_model_spec, parse_formula, read_csv
 
-F1_LEVELS = ["a", "b,c", 'say "hi"', "d e"]
+F1_LEVELS = ["a", "b,c", 'say "hi"', "d e", "\u00e9t\u00e9"]
 F2_LEVELS = ["x", "y", "z"]
 TERMS = ["num", "f1", "f2", "f1:num", "f1:f2"]
+# cells that float() and numpy's parser may treat differently, or reject
+ODD_NUMBERS = ["nan", "inf", "1e999", "-0", ".5", "5.", "+1", "0x1", "1e", "1_000"]
 
 
 def outcome(call):
@@ -26,13 +32,51 @@ def outcome(call):
         return "error", str(exc)
 
 
-def assert_same_dataset(a, b):
-    assert np.array_equal(a.y, b.y)
-    assert a.y.dtype == b.y.dtype
-    assert list(a.frame.items()) == list(b.frame.items())
-    assert a.recode_count == b.recode_count
-    assert a.y_trunc == b.y_trunc
-    assert a.factors == b.factors
+def is_plain(data: bytes) -> bool:
+    """Whether read_csv's C path takes a file: ASCII, no ``"``, no empty
+    line with ``\\r\\n``, ``\\r`` and ``\\n`` as line ends, and a data row."""
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return data.isascii() and b'"' not in data and len(lines) >= 2 and b"" not in lines
+
+
+def read_spied(path, y_trunc=0.0, factors=()):
+    """The outcome of ``read_csv`` and whether it called ``np.loadtxt``."""
+    with mock.patch.object(data_io.np, "loadtxt", wraps=np.loadtxt) as spy:
+        got = outcome(lambda: read_csv(path, "y", y_trunc, factors))
+    assert spy.call_count <= 1
+    return got, spy.called
+
+
+def finite_numbers(cells):
+    """The cells parsed by ``float``, or None unless each is a finite number."""
+    try:
+        values = np.array([float(c) for c in cells], dtype=float)
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def assert_same_dataset(got, want):
+    """``got`` from the package, ``want`` from the reference, whose columns
+    are strings. A column that is not a declared factor and whose cells all
+    parse to finite numbers must be a float64 array of those numbers, bit
+    for bit; any other column must be the reference's strings."""
+    assert got.y.dtype == want.y.dtype == np.float64
+    assert got.y.tobytes() == want.y.tobytes()
+    assert list(got.frame) == list(want.frame)
+    for name, cells in want.frame.items():
+        numbers = None if want.contrast_for(name) else finite_numbers(cells)
+        column = got.frame[name]
+        if numbers is None:
+            assert type(column) is list and column == cells
+        else:
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.tobytes() == numbers.tobytes()
+    assert got.recode_count == want.recode_count
+    assert got.y_trunc == want.y_trunc
+    assert got.factors == want.factors
 
 
 def assert_same_spec(a, b):
@@ -50,27 +94,37 @@ def padded(cell: str, pad: int) -> str:
 
 @st.composite
 def tables(draw):
-    """A small file: header, rows of cells, and up to two defects."""
-    n = draw(st.integers(0, 8))
-    number = st.one_of(
+    """A small file: header, rows of cells, a line end and up to two defects.
+
+    About half the files are drawn plain: their levels and notes hold no
+    comma, quote or non-ASCII character. Numbers are now and then one of
+    ``ODD_NUMBERS``; a note column holds either text or numbers.
+    """
+    plain = draw(st.booleans())
+    n = draw(st.integers(1 if plain else 0, 8))
+    regular = st.one_of(
         st.floats(0.0, 30.0).map(repr),
         st.integers(0, 3000).map(str),
-        st.sampled_from(["1_000", "2.5e0", "0.25"]),
+        st.sampled_from(["2.5e0", "0.25"]),
     )
+
+    def numbers(usual):
+        odd = st.sampled_from(ODD_NUMBERS)
+        return [draw(odd if draw(st.integers(0, 11)) == 0 else usual) for _ in range(n)]
+
+    f1_levels = ["a", "d e"] if plain else F1_LEVELS
+    note_text = st.text(
+        st.sampled_from("ab x" if plain else 'ab, "x\u00e9'), min_size=1, max_size=4
+    ).filter(str.strip)
     columns = {
-        "y": draw(st.lists(number, min_size=n, max_size=n)),
-        "num": draw(
-            st.lists(st.floats(-5.0, 5.0).map(repr), min_size=n, max_size=n)
-        ),
-        "f1": draw(st.lists(st.sampled_from(F1_LEVELS), min_size=n, max_size=n)),
+        "y": numbers(regular),
+        "num": numbers(st.floats(-5.0, 5.0).map(repr)),
+        "f1": draw(st.lists(st.sampled_from(f1_levels), min_size=n, max_size=n)),
         "f2": draw(st.lists(st.sampled_from(F2_LEVELS), min_size=n, max_size=n)),
-        "note": draw(
-            st.lists(
-                st.text(st.sampled_from('ab, "x'), min_size=1, max_size=4)
-                .filter(str.strip),
-                min_size=n,
-                max_size=n,
-            )
+        "note": (
+            draw(st.lists(note_text, min_size=n, max_size=n))
+            if draw(st.booleans())
+            else numbers(st.integers(-9, 9).map(str))
         ),
     }
     header = draw(st.permutations(list(columns)))
@@ -79,9 +133,16 @@ def tables(draw):
         for i in range(n)
     ]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        i = draw(st.integers(0, n - 1))
+        kind = draw(
+            st.sampled_from(["blank", "short", "long", "bad", "negative", "empty line"])
+        )
+        if kind == "empty line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        if not rows[i]:
+            continue
         j = draw(st.integers(0, len(rows[i]) - 1))
-        kind = draw(st.sampled_from(["blank", "short", "long", "bad", "negative"]))
         if kind == "blank":
             rows[i][j] = draw(st.sampled_from(["", "  "]))
         elif kind == "short":
@@ -92,7 +153,7 @@ def tables(draw):
             rows[i][j] = draw(st.sampled_from(["abc", "1,5", "0x1"]))
         elif header.index("y") < len(rows[i]):
             rows[i][header.index("y")] = draw(st.sampled_from(["-1.5", "nan", "-inf"]))
-    return header, rows
+    return header, rows, draw(st.sampled_from(["\r\n", "\n", "\r"]))
 
 
 @st.composite
@@ -121,14 +182,15 @@ def scratch_csv(tmp_path_factory):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(table=tables(), design=designs(), y_trunc=st.sampled_from([0.0, 0.5, 20.0]))
 def test_matches_the_cell_by_cell_reference(scratch_csv, table, design, y_trunc):
-    header, rows = table
+    header, rows, line_end = table
     factors, pi_text, mu_text, declared = design
     with open(scratch_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=line_end)
         writer.writerow(header)
         writer.writerows(rows)
 
-    got = outcome(lambda: read_csv(scratch_csv, "y", y_trunc, factors))
+    got, loadtxt_ran = read_spied(scratch_csv, y_trunc, factors)
+    assert loadtxt_ran == is_plain(scratch_csv.read_bytes())
     want = outcome(lambda: ref.read_csv(scratch_csv, "y", y_trunc, factors))
     assert got[0] == want[0]
     if got[0] == "error":
@@ -136,10 +198,10 @@ def test_matches_the_cell_by_cell_reference(scratch_csv, table, design, y_trunc)
         return
     assert_same_dataset(got[1], want[1])
 
-    ds = got[1]
+    ds, ref_ds = got[1], want[1]
     pi, mu = parse_formula(pi_text), parse_formula(mu_text)
     got = outcome(lambda: make_model_spec(ds, pi, mu, declared))
-    want = outcome(lambda: ref.make_model_spec(ds, pi, mu, declared))
+    want = outcome(lambda: ref.make_model_spec(ref_ds, pi, mu, declared))
     assert got[0] == want[0]
     if got[0] == "error":
         assert got[1] == want[1]
@@ -209,6 +271,67 @@ class TestErrorPrecedence:
         assert_raises_as_reference(
             path, "design is rank deficient; redundant columns: ['intercept', 'a']"
         )
+
+
+def read_as_reference(path, loadtxt_runs, factors=()):
+    """Read ``path`` as the reference does, checking which reader ran."""
+    got, ran = read_spied(path, factors=factors)
+    assert ran == loadtxt_runs
+    want = outcome(lambda: ref.read_csv(path, "y", 0.0, factors))
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert_same_dataset(got[1], want[1])
+    return got
+
+
+class TestReaderChoice:
+    def test_blank_line_in_the_middle(self, tmp_path):
+        path = write(tmp_path, "y,a\n1.0,2\n\n2.0,3\n")
+        message = f"{path}: row 2 has 0 cells, expected 2"
+        assert read_as_reference(path, loadtxt_runs=False) == ("error", message)
+
+    def test_trailing_blank_line(self, tmp_path):
+        path = write(tmp_path, "y,a\r\n1.0,2\r\n2.0,3\r\n\r\n")
+        message = f"{path}: row 3 has 0 cells, expected 2"
+        assert read_as_reference(path, loadtxt_runs=False) == ("error", message)
+
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        path = write(tmp_path, "y,a\r1.0,2\r2.0, 3\r")
+        _, ds = read_as_reference(path, loadtxt_runs=True)
+        assert ds.frame["a"].tolist() == [2.0, 3.0]
+
+    def test_header_only_file(self, tmp_path):
+        path = write(tmp_path, "y,a\n")
+        _, ds = read_as_reference(path, loadtxt_runs=False)
+        assert ds.n == 0 and ds.frame["a"].shape == (0,)
+
+    def test_unused_text_column(self, tmp_path):
+        path = write(tmp_path, "y,a,note\n1.0,2,hello\n2.0,3, world\n")
+        _, ds = read_as_reference(path, loadtxt_runs=True)
+        assert ds.frame["note"] == ["hello", "world"]
+        spec, _ = make_model_spec(ds, parse_formula("a"), parse_formula(""))
+        assert spec.x1[:, 1].tolist() == [2.0, 3.0]
+
+    def test_quoted_cells_are_read_by_the_csv_module(self, tmp_path):
+        path = write(tmp_path, 'y,a,f\n1.0,"2.5","say ""hi"""\n2.0,3,x\n')
+        _, ds = read_as_reference(path, loadtxt_runs=False, factors=(ContrastSpec("f"),))
+        assert ds.frame["f"] == ['say "hi"', "x"]
+
+    def test_empty_factor_cell_is_missing(self, tmp_path):
+        path = write(tmp_path, "y,a,f\n1.0,2,x\n2.0,3, \n")
+        got = read_as_reference(path, loadtxt_runs=True, factors=(ContrastSpec("f"),))
+        assert got == ("error", f"{path}: missing value at row 2, column 'f'")
+
+    def test_simulated_file_is_plain(self, tmp_path):
+        from zitpo.cli import main
+
+        path = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "50", "--xi", "0.25", "--out", str(path)]) == 0
+        assert b"\r\n" in path.read_bytes()
+        _, ds = read_as_reference(path, loadtxt_runs=True)
+        assert ds.n == 50
 
 
 def test_repeated_header_name_is_rejected(tmp_path):
