@@ -137,10 +137,8 @@ def _read_plain(path, response_column, text) -> dict | None:
     with open(path, "rb") as fh:
         data = fh.read()
     first = _FIRST_LINE.match(data)
-    # two line ends around an empty line; the last two need a \r in the file
-    ends = (b"\n\n", b"\n\r", b"\r\r") if b"\r" in data else (b"\n\n",)
     plain = first and first.end() < len(data) and data.isascii() and b'"' not in data
-    if not plain or any(end in data for end in ends):
+    if not plain or _has_empty_line(data):
         return None
     header = [h.strip() for h in first.group(1).decode().split(",")]
     del data, first
@@ -162,31 +160,48 @@ def _read_plain(path, response_column, text) -> dict | None:
     return columns if all(np.isfinite(columns[n]).all() for n in columns.keys() - text) else None
 
 
+def _has_empty_line(data: bytes) -> bool:
+    """Whether two line ends (CR LF, CR or LF) of ``data`` enclose an empty
+    line: its byte pairs, read as 16-bit numbers at even and at odd offsets,
+    against each pair pattern, by one numpy comparison apiece."""
+    # the last two patterns need a \r in the file
+    ends = (b"\n\n", b"\n\r", b"\r\r") if b"\r" in data else (b"\n\n",)
+    n = len(data)
+    pairs = np.frombuffer(data, "<u2", n // 2), np.frombuffer(data, "<u2", (n - 1) // 2, 1)
+    return any((p == int.from_bytes(end, "little")).any() for end in ends for p in pairs)
+
+
 def _read_rows(path, response_column, factors, text) -> dict:
     """The columns of any file, read by the ``csv`` module in chunks of
     ``_CHUNK_ROWS`` rows transposed into columns, so no list of row lists
     outlives its chunk; the numeric ones then parsed by ``float``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        width = len(header)
-        cells: list[list[str]] = [[] for _ in header]
-        # (row, cells) of the first row of the wrong width
-        short = None
-        nrows = 0
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            if short is not None:
-                continue  # read on: a decoding error later in the file comes first
-            if set(map(len, chunk)) != {width}:
-                i = next(i for i, row in enumerate(chunk) if len(row) != width)
-                short = (nrows + i + 1, len(chunk[i]))
-                chunk = chunk[:i]
-            for column, part in zip(cells, zip(*chunk)):
-                column.extend(map(str.strip, part))
-            nrows += len(chunk)
+    # numpy's tokenizer takes a cell of any length, so the csv module must too
+    # (2**31 - 1 fits a C long everywhere); its limit is process-wide
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file") from None
+            width = len(header)
+            cells: list[list[str]] = [[] for _ in header]
+            # (row, cells) of the first row of the wrong width
+            short = None
+            nrows = 0
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if short is not None:
+                    continue  # read on: a decoding error later in the file comes first
+                if set(map(len, chunk)) != {width}:
+                    i = next(i for i, row in enumerate(chunk) if len(row) != width)
+                    short = (nrows + i + 1, len(chunk[i]))
+                    chunk = chunk[:i]
+                for column, part in zip(cells, zip(*chunk)):
+                    column.extend(map(str.strip, part))
+                nrows += len(chunk)
+    finally:
+        csv.field_size_limit(limit)
     header = [h.strip() for h in header]
     if response_column not in header:
         raise ValueError(f"{path}: no column named {response_column!r}")

@@ -129,18 +129,25 @@ def zero_calibration(
     """Observed vs predicted zero fractions across bins of predicted pi.
 
     Rows carry the bin index, its size, the mean predicted zero probability
-    (including the truncation mass) and the observed zero fraction.
+    (including the truncation mass) and the observed zero fraction. A row's
+    bin is the count of inner quantile edges of pi at or below its pi, and
+    its zero probability comes from the kernel's value-only path.
     """
     if not fit.converged:
         raise ValueError("calibration requires a converged fit")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     y = np.asarray(y, dtype=float)
     eta1, eta2 = _linear_predictors(spec, fit.coef)
     pi = linkinv_logit(eta1)
-    # each row's zero probability: the kernel's term, every row a zero row
     v = np.full(y.size, float(y_trunc))
     p_zero = np.exp(_loglik_terms(v, y.size, eta1, eta2, fit.coef.xi))
-    edges = np.quantile(pi, np.linspace(0.0, 1.0, bins + 1))
-    idx = np.clip(np.searchsorted(edges[1:-1], pi, side="right"), 0, bins - 1)
+    # quantile partitions a copy; on sorted values that is cheap, and the
+    # order statistics, hence the edges, are the same
+    edges = np.quantile(np.sort(pi), np.linspace(0.0, 1.0, bins + 1))
+    idx = np.zeros(y.size, np.min_scalar_type(bins - 1))
+    for edge in edges[1:-1]:
+        idx += pi >= edge
     count = np.bincount(idx, minlength=bins)
     sums = [np.bincount(idx, weights=w, minlength=bins) for w in (pi, p_zero, y == 0.0)]
     return [

@@ -14,8 +14,8 @@ Cholesky (LAPACK ``dposv``): the factor gives the step and the Newton
 decrement, which covariate units do not move. The pass converges when the
 decrement stop comes with a factor, which then gives the standard errors; a
 free shape near 1 ends it unconverged. The reported log-likelihood is the
-compensated sum of the kernel's row terms at the optimum, from
-:func:`zitpo.model._loglik_terms`.
+compensated sum of the kernel's row terms at the optimum, from its
+value-only path, :func:`zitpo.model._loglik_terms`.
 
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,

@@ -14,7 +14,8 @@ for ``pi`` and a log link for ``mu``.
 
 One formula gives every row's log-likelihood term: the row kernel
 :func:`_row_derivs`, whose series meets the exponential limit xi = 0. The
-fitter takes its derivatives; every reported value takes its terms through
+fitter takes its derivatives; every reported value takes its terms from the
+kernel's value-only path, which skips the derivatives, through
 :func:`_loglik_terms`.
 """
 
@@ -291,30 +292,35 @@ def _phi_series(x):
 
 
 def _phi_closed(x, opx):
-    """(phi, phi', phi'') from log1p, for |x| >= _SERIES_X; opx = 1 + x."""
+    """(phi, phi', phi'') from log1p, for |x| >= _SERIES_X; opx = 1 + x.
+    With ``opx`` None, (phi,) alone."""
     lg = np.log1p(x)
+    if opx is None:
+        return (lg / x,)
     xx = x * x
     num = x / opx - lg
     # xx * x, not x**3: numpy's power has a fast path for squares only
     return lg / x, num / xx, -1.0 / (x * opx**2) - 2.0 * num / (xx * x)
 
 
-def _m_derivs(w, xi: float, c: float):
+def _m_derivs(w, xi: float, c: float, derivs: bool = True):
     """M = log(1 + xi*w)/xi = w*phi(xi*w) with its derivatives in
     (eta2 = log mu, xi), where w = v/sigma for the row's value v (y, or
     y_trunc on a zero row) and sigma = mu/c, c = 1/(1 - xi).
 
-    Returns ``(x, m, m2, mx, m22, m2x, mxx)`` with x = xi*w. phi = log1p(x)/x
-    and its first two derivatives come from the series on the rows with
-    |x| < ``_SERIES_X`` and from the closed forms on the others, so M stays
+    Returns ``(x, m, m2, mx, m22, m2x, mxx)`` with x = xi*w, the last five
+    None without ``derivs``. phi = log1p(x)/x and its first two derivatives
+    come from the series on the rows with |x| < ``_SERIES_X`` and from the
+    closed forms (phi alone without ``derivs``) on the others, so M stays
     finite as xi -> 0, where it meets the exponential limit (M = y/mu at
     xi = 0). The closed forms run on every row unless all rows take the
-    series, and the series then overwrites its own rows: that costs fewer
-    calls than gathering and scattering both forms. The caller ignores the
-    floating-point warnings that the closed forms raise at x = 0.
+    series, and the series, always the same product, then overwrites its
+    own rows: that costs fewer calls than gathering and scattering both
+    forms. The caller ignores the floating-point warnings that the closed
+    forms raise at x = 0.
     """
     x = xi * w
-    opx = 1.0 + x
+    opx = 1.0 + x if derivs else None
     rows = np.flatnonzero(np.abs(x) < _SERIES_X)
     if rows.size == x.size:
         phi = _phi_series(x)
@@ -323,11 +329,13 @@ def _m_derivs(w, xi: float, c: float):
         if rows.size:
             for out, part in zip(phi, _phi_series(x[rows])):
                 out[rows] = part
+    m = w * phi[0]
+    if not derivs:
+        return x, m, None, None, None, None, None
     b = 1.0 / opx
     wb = w * b
     cwb = c * wb
     ww = w * w
-    m = w * phi[0]
     mx = ww * phi[1] + cwb
     m22 = wb * b
     m2x = cwb * (wb - 1.0)
@@ -350,14 +358,16 @@ def _expit_pair(eta1):
 # (11, 12, 1xi, 22, 2xi, xixi).
 
 
-def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
+def _row_derivs(v, n_zero: int, eta1, eta2, xi: float, derivs: bool = True):
     """Both row kinds in one call, on rows stored zero rows first.
 
     Rows before ``n_zero`` are zero rows and the others positive rows. ``v``
     is y_trunc on a zero row and y on a positive row, so w = v/sigma is
     formed alike on every row, and one :func:`_expit_pair` and one
     :func:`_m_derivs` call serve both kinds. Each kind's formulas then fill
-    its own slice of t, g and h.
+    its own slice of t, g and h. With ``derivs`` false the call is the
+    value-only path: the same expressions fill t, and the derivatives of M,
+    g and h are skipped (g and h come back with no rows).
 
     Zero rows: log(1 - pi*S) with S = exp(-M) at w = y_trunc/sigma. All three
     parameters couple. A row whose threshold lies beyond a ``xi < 0`` support
@@ -372,34 +382,37 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
     c = 1.0 / (1.0 - xi)
     one_xi = 1.0 + xi
     n = v.size
-    out = np.empty((10, n))
+    out = np.empty((10 if derivs else 1, n))
     t, g, h = out[0], out[1:4], out[4:]
     z, p = slice(0, n_zero), slice(n_zero, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pi, qi = _expit_pair(eta1)
         w = v * np.exp(-eta2) * c
-        x, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c)
+        x, m, m2, mx, m22, m2x, mxx = _m_derivs(w, xi, c, derivs)
         if n_zero:
             pz, qz = pi[z], qi[z]
-            m2z, mxz, m22z, m2xz, mxxz = m2[z], mx[z], m22[z], m2x[z], mxx[z]
             neg_m = -m[z]
-            surv = np.exp(neg_m)
             one_minus_q = qz - pz * np.expm1(neg_m)
             # x = xi*w >= 0 unless xi < 0, and only then can a row lie beyond
-            if xi < 0.0:
-                beyond = x[z] <= -1.0
-                if beyond.any():
-                    surv[beyond] = 0.0
-                    one_minus_q[beyond] = 1.0
-                    for arr in (m2z, mxz, m22z, m2xz, mxxz):
-                        arr[beyond] = 0.0
+            beyond = x[z] <= -1.0 if xi < 0.0 else None
+            if beyond is not None and beyond.any():
+                one_minus_q[beyond] = 1.0
+            else:
+                beyond = None
+            np.log(one_minus_q, out=t[z])
+        if n_zero and derivs:
+            m2z, mxz, m22z, m2xz, mxxz = m2[z], mx[z], m22[z], m2x[z], mxx[z]
+            surv = np.exp(neg_m)
+            if beyond is not None:
+                surv[beyond] = 0.0
+                for arr in (m2z, mxz, m22z, m2xz, mxxz):
+                    arr[beyond] = 0.0
             # q = pi*S, r = q / (1 - q)
             r = pz * surv / one_minus_q
             r1 = 1.0 + r
             rr = r * r1
             rrq = rr * qz
             rr_m2 = rr * m2z
-            np.log(one_minus_q, out=t[z])
             g0 = np.multiply(-r, qz, out=g[0, z])
             np.multiply(r, m2z, out=g[1, z])
             np.multiply(r, mxz, out=g[2, z])
@@ -410,10 +423,12 @@ def _row_derivs(v, n_zero: int, eta1, eta2, xi: float):
             np.subtract(r * m2xz, rr_m2 * mxz, out=h[4, z])
             np.subtract(r * mxxz, rr * mxz * mxz, out=h[5, z])
         if n_zero < n:
-            pp, qp, mp, m2p, mxp = pi[p], qi[p], m[p], m2[p], mx[p]
+            pp, mp = pi[p], m[p]
             np.subtract(np.log(pp) - eta2[p] - math.log1p(-xi), one_xi * mp, out=t[p])
             if xi < 0.0:
                 t[p][x[p] <= -1.0] = -math.inf
+        if n_zero < n and derivs:
+            qp, m2p, mxp = qi[p], m2[p], mx[p]
             g[0, p] = qp
             np.subtract(-1.0, one_xi * m2p, out=g[1, p])
             np.subtract(c - mp, one_xi * mxp, out=g[2, p])
@@ -437,11 +452,12 @@ def _block_bounds(n: int, n_zero: int):
 
 
 def _loglik_terms(v, n_zero: int, eta1, eta2, xi: float) -> np.ndarray:
-    """The kernel's row terms ``t`` on rows stored zero rows first, one call
-    per ``_ROW_BLOCK`` rows; -inf marks a row with no mass or density."""
+    """The kernel's row terms ``t`` on rows stored zero rows first, from its
+    value-only path, one call per ``_ROW_BLOCK`` rows as the fitter's passes
+    make them; -inf marks a row with no mass or density."""
     t = np.empty(v.size)
     for block, nz in _block_bounds(v.size, n_zero):
-        t[block] = _row_derivs(v[block], nz, eta1[block], eta2[block], xi)[0]
+        t[block] = _row_derivs(v[block], nz, eta1[block], eta2[block], xi, False)[0]
     return t
 
 

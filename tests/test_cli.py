@@ -241,6 +241,14 @@ class TestFit:
         assert outs[0] == outs[1]
 
 
+def test_fit_on_a_cell_past_the_csv_module_limit_ends_without_a_traceback(tmp_path):
+    # a non-ASCII level of 140,000 characters: the csv module reads the file
+    path = tmp_path / "huge.csv"
+    path.write_text("y,f\n1.5," + "\u00e9" * 140_000 + "\n", encoding="utf-8")
+    argv = ["fit", "--data", str(path), "--response", "y", "--trunc", "0", "--factor", "f"]
+    assert main(argv) in (0, 1)
+
+
 class TestParser:
     def test_parser_is_built_once_and_each_parse_starts_afresh(self, monkeypatch):
         # the cached parser copies the --factor default list into every parse

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from zitpo.diagnostics import (
@@ -15,7 +17,17 @@ from zitpo.diagnostics import (
 )
 from zitpo.estimation import FitResult, fit_mle
 from zitpo.gpd import XI_TOL, GpdMean, gpd_cdf, gpd_quantile
-from zitpo.model import CoefVector, ModelSpec, ZitpoParams, predict, zero_prob
+from zitpo.model import (
+    CoefVector,
+    ModelSpec,
+    ZitpoParams,
+    _block_bounds,
+    _linear_predictors,
+    _row_derivs,
+    linkinv_logit,
+    predict,
+    zero_prob,
+)
 from zitpo.simulation import reference_config, rtrunc_gpd, simulate_dataset
 
 
@@ -24,6 +36,45 @@ def true_mu(cfg, spec):
         beta1=np.asarray(cfg.beta1), beta2=np.asarray(cfg.beta2), xi=cfg.xi
     )
     return predict(spec, coef)[1]
+
+
+def reference_zero_calibration(y, y_trunc, fit, spec, bins=10):
+    """zero_calibration as it was before its bins were counted edge by edge:
+    edges from ``np.quantile`` of the unsorted pi, bins by ``searchsorted``,
+    and each row's term from the full derivative kernel in its blocks."""
+    y = np.asarray(y, dtype=float)
+    eta1, eta2 = _linear_predictors(spec, fit.coef)
+    pi = linkinv_logit(eta1)
+    v = np.full(y.size, float(y_trunc))
+    t = np.concatenate([
+        _row_derivs(v[block], nz, eta1[block], eta2[block], fit.coef.xi)[0]
+        for block, nz in _block_bounds(y.size, y.size)
+    ])
+    p_zero = np.exp(t)
+    edges = np.quantile(pi, np.linspace(0.0, 1.0, bins + 1))
+    idx = np.clip(np.searchsorted(edges[1:-1], pi, side="right"), 0, bins - 1)
+    count = np.bincount(idx, minlength=bins)
+    sums = [np.bincount(idx, weights=w, minlength=bins) for w in (pi, p_zero, y == 0.0)]
+    return [
+        {
+            "bin": b,
+            "count": int(count[b]),
+            "mean_pi": float(sums[0][b] / count[b]),
+            "predicted_zero": float(sums[1][b] / count[b]),
+            "observed_zero": float(sums[2][b] / count[b]),
+        }
+        for b in np.flatnonzero(count).tolist()
+    ]
+
+
+def converged_fit(coef, names1, names2, y_trunc):
+    """A converged FitResult at ``coef``; only its coefficients matter here."""
+    k = len(names1) + len(names2) + 1
+    return FitResult(
+        coef=coef, se=np.ones(k), cov=np.eye(k), loglik=0.0, n_zero=1, n_pos=1,
+        converged=True, iterations=1, names1=tuple(names1), names2=tuple(names2),
+        y_trunc=y_trunc,
+    )
 
 
 def unit_gpd_cdf(xi):
@@ -219,6 +270,51 @@ class TestZeroCalibration:
         assert sum(r["count"] for r in table) == cfg.n
         err = [abs(r["predicted_zero"] - r["observed_zero"]) for r in table]
         assert max(err) < 0.08
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        levels=st.integers(1, 5),
+        n=st.integers(1, 60),
+        bins=st.sampled_from([1, 2, 10, 13]),
+        xi=st.sampled_from([-0.3, 0.0, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_only_design_matches_the_reference(self, levels, n, bins, xi, seed):
+        # a factor alone gives pi a few tied values; n may be below bins
+        rng = np.random.default_rng(seed)
+        level = rng.integers(0, levels, n)
+        x = np.column_stack([np.ones(n)] + [level == j for j in range(1, levels)])
+        names = [f"x{j}" for j in range(levels)]
+        spec = ModelSpec(x1=x, x2=x, names1=tuple(names), names2=tuple(names))
+        coef = CoefVector(
+            beta1=rng.normal(0.0, 1.0, levels), beta2=rng.normal(0.0, 1.0, levels), xi=xi
+        )
+        fit = converged_fit(coef, names, names, 0.125)
+        y = np.where(rng.random(n) < 0.5, 0.0, 1.0)
+        want = reference_zero_calibration(y, 0.125, fit, spec, bins)
+        assert zero_calibration(y, 0.125, fit, spec, bins) == want
+
+    @pytest.mark.parametrize("bins", [1, 10])
+    def test_simulated_fit_matches_the_reference(self, bins):
+        cfg = reference_config(n=9000, reps=1, xi=0.25, seed=82)
+        y, spec = simulate_dataset(cfg, 0)
+        fit = fit_mle(y, cfg.y_trunc, spec)
+        want = reference_zero_calibration(y, cfg.y_trunc, fit, spec, bins)
+        assert zero_calibration(y, cfg.y_trunc, fit, spec, bins) == want
+
+    def test_fewer_rows_than_bins(self):
+        spec = ModelSpec(x1=np.column_stack([np.ones(3), [0.0, 1.0, 2.0]]), x2=np.ones((3, 1)))
+        fit = converged_fit(CoefVector(beta1=[0.1, 0.5], beta2=[0.0], xi=0.25), "ab", "a", 0.0)
+        y = np.array([0.0, 1.0, 2.0])
+        table = zero_calibration(y, 0.0, fit, spec)
+        assert table == reference_zero_calibration(y, 0.0, fit, spec)
+        assert [r["count"] for r in table] == [1, 1, 1]
+
+    def test_bins_below_one_are_rejected(self):
+        spec = ModelSpec(x1=np.ones((3, 1)), x2=np.ones((3, 1)))
+        fit = converged_fit(CoefVector(beta1=[0.1], beta2=[0.0], xi=0.25), "a", "a", 0.0)
+        with pytest.raises(ValueError, match="bins must be at least 1, got 0"):
+            zero_calibration(np.zeros(3), 0.0, fit, spec, bins=0)
 
     @pytest.mark.parametrize(
         "xi,y_trunc",

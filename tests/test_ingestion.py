@@ -292,6 +292,11 @@ class TestReaderChoice:
         message = f"{path}: row 2 has 0 cells, expected 2"
         assert read_as_reference(path, loadtxt_runs=False) == ("error", message)
 
+    def test_blank_line_in_the_middle_of_a_crlf_file(self, tmp_path):
+        path = write(tmp_path, "y,a\r\n1.0,2\r\n\r\n2.0,3\r\n")
+        message = f"{path}: row 2 has 0 cells, expected 2"
+        assert read_as_reference(path, loadtxt_runs=False) == ("error", message)
+
     def test_trailing_blank_line(self, tmp_path):
         path = write(tmp_path, "y,a\r\n1.0,2\r\n2.0,3\r\n\r\n")
         message = f"{path}: row 3 has 0 cells, expected 2"
@@ -332,6 +337,38 @@ class TestReaderChoice:
         assert b"\r\n" in path.read_bytes()
         _, ds = read_as_reference(path, loadtxt_runs=True)
         assert ds.n == 50
+
+
+class TestLongCells:
+    # longer than the csv module's default cell limit
+    DEFAULT_LIMIT = 131_072
+    LEVEL = "a" * 140_000
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        # each test starts from the default, whatever an earlier read left
+        before = csv.field_size_limit(self.DEFAULT_LIMIT)
+        yield
+        csv.field_size_limit(before)
+
+    def test_both_readers_give_the_same_dataset(self, tmp_path):
+        factors = (ContrastSpec("f"),)
+        path = write(tmp_path, f"y,f,a\n1.0,{self.LEVEL},2\n0,b,3\n")
+        (kind, plain), loadtxt_ran = read_spied(path, factors=factors)
+        assert kind == "ok" and loadtxt_ran
+        # the quotes send the same cells to the csv module
+        path = write(tmp_path, f'y,f,a\n1.0,"{self.LEVEL}",2\n0,b,3\n')
+        (kind, quoted), loadtxt_ran = read_spied(path, factors=factors)
+        assert kind == "ok" and not loadtxt_ran
+        assert plain.frame["f"] == [self.LEVEL, "b"]
+        assert_same_dataset(quoted, plain)
+        assert csv.field_size_limit() == self.DEFAULT_LIMIT
+
+    def test_limit_is_restored_after_an_error(self, tmp_path):
+        path = write(tmp_path, f'y,f\n1.0,"{self.LEVEL}"\n2.0\n')
+        got, _ = read_spied(path, factors=(ContrastSpec("f"),))
+        assert got == ("error", f"{path}: row 2 has 1 cells, expected 2")
+        assert csv.field_size_limit() == self.DEFAULT_LIMIT
 
 
 def test_repeated_header_name_is_rejected(tmp_path):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
 
@@ -13,10 +15,13 @@ from loglik_reference import loglik_terms, pos_row_derivs, zero_row_derivs
 from zitpo.estimation import numeric_gradient, numeric_hessian
 from zitpo.gpd import GpdMean, GpdScale, gpd_cdf, gpd_pdf, mean_quantile_level
 from zitpo.model import (
+    _ROW_BLOCK,
     _SERIES_X,
+    _block_bounds,
     _check_rank,
     _loglik_terms,
     _redundant_columns,
+    _row_derivs,
     _zero_first,
     CoefVector,
     ModelSpec,
@@ -521,6 +526,49 @@ class TestLoglikTerms:
         assert np.all(t == -math.inf)
         ref = loglik_terms(np.zeros(1), expit(0.4), expit(-0.4), 0.2, xi, y0)
         assert ref[0] == 0.0
+
+
+@st.composite
+def kernel_cases(draw):
+    """(xi, n, n_zero, y_trunc, seed) for the value-only kernel property:
+    xi across [-0.45, 0.95] with 0 and +-1e-9, n on both sides of the block
+    size, and no, all or some zero rows."""
+    xi = draw(st.one_of(
+        st.sampled_from([0.0, 1e-9, -1e-9, -0.45, -0.05, 1e-4, 0.95]),
+        st.floats(-0.45, 0.95),
+    ))
+    n = draw(st.sampled_from([1, 2, 33, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 9000]))
+    n_zero = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    y_trunc = draw(st.sampled_from([0.0, 0.125, 4.0]))
+    return xi, n, n_zero, y_trunc, draw(st.integers(0, 2**32 - 1))
+
+
+class TestValueOnlyPath:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=kernel_cases())
+    def test_terms_are_the_full_kernels_bit_for_bit(self, case):
+        xi, n, n_zero, y_trunc, seed = case
+        rng = np.random.default_rng(seed)
+        eta1 = rng.normal(0.0, 3.0, n)
+        eta1[rng.random(n) < 0.05] = rng.choice([-40.0, 40.0])
+        eta2 = rng.normal(0.0, 2.0, n)
+        # w = v/sigma spans about e^-14 to e^12: |xi*w| falls on both sides of
+        # the series bound, and at xi < 0 some rows lie past the support end
+        v = y_trunc + np.exp(rng.uniform(-8.0, 6.0, n))
+        v[:n_zero] = y_trunc
+        t = _row_derivs(v, n_zero, eta1, eta2, xi)[0]
+        assert not np.isnan(t).any()
+        assert np.array_equal(_row_derivs(v, n_zero, eta1, eta2, xi, False)[0], t)
+        # and in the fitter's blocks, whose series products have the same shapes
+        blocks = [
+            _row_derivs(v[block], nz, eta1[block], eta2[block], xi)[0]
+            for block, nz in _block_bounds(n, n_zero)
+        ]
+        assert np.array_equal(_loglik_terms(v, n_zero, eta1, eta2, xi), np.concatenate(blocks))
+
+    def test_value_only_call_has_no_derivative_rows(self):
+        t, g, h = _row_derivs(np.array([0.125, 2.0]), 1, np.zeros(2), np.zeros(2), 0.25, False)
+        assert t.shape == (2,) and g.shape == (0, 2) and h.shape == (0, 2)
 
 
 class TestSupportEnd:
