@@ -17,6 +17,14 @@ free shape near 1 ends it unconverged. The reported log-likelihood is the
 compensated sum of the kernel's row terms at the optimum, from its
 value-only path, :func:`zitpo.model._loglik_terms`.
 
+The default start is least squares on normal equations scaled to unit
+diagonal, one ``dposv`` per part, so it follows covariate units: beta1 takes
+one IRLS step from the intercept-only logit, and beta2 regresses log y on
+the positive rows, its intercept shifted so that mean(y/mu) = 1 there. A
+part whose system is not positive definite, or whose start is not finite,
+starts from its intercept alone. A fixed shape below 0 lifts the mu
+intercept until every positive y lies inside the support end twice over.
+
 :func:`numeric_gradient` and :func:`numeric_hessian` are central-difference
 oracles for checking the analytic derivatives; the fitter does not use them,
 and the package root does not export them.
@@ -43,6 +51,7 @@ from .model import (
     _check_response,
     _loglik_terms,
     _row_derivs,
+    _scaled_gram,
     _zero_first,
 )
 
@@ -225,15 +234,18 @@ lapack = _load_lapack()
 def _newton_direction(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Ascent direction (-H)^-1 g and the lower Cholesky factor of -H, from one
     ``dposv``. Where -H is not positive definite (far from the optimum), the
-    factor is None and the eigenvalues of -H are taken absolute, floored."""
+    factor is None and the eigenvalues of -H, scaled to unit diagonal so that
+    covariate units do not move the floor, are taken absolute, floored."""
     factor, step, info = lapack.dposv(-hess, grad, lower=1)
     if info == 0:
         return step, factor
     if info < 0:
         raise np.linalg.LinAlgError(f"dposv rejected argument {-info}")
-    lam, vec = np.linalg.eigh(-hess)
+    d = np.abs(np.diag(hess))
+    d = np.sqrt(np.where(d > 0.0, d, 1.0))
+    lam, vec = np.linalg.eigh(-hess / d[:, None] / d)
     floor = 1e-8 * max(1.0, float(np.max(np.abs(lam))))
-    return vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), floor)), None
+    return vec @ ((vec.T @ (grad / d)) / np.maximum(np.abs(lam), floor)) / d, None
 
 
 def _maximize_newton(evaluate, x0, k: int):
@@ -331,18 +343,19 @@ def _score_hessian(rows: _Rows, b1, b2, xi: float):
         return -math.inf, None, None
     eta1 = b1 @ rows.x1
     parts = []
-    for block, nz in _block_bounds(n, n_zero):
-        a1, a2 = rows.x1[:, block], rows.x2[:, block]
-        z1, z2 = a1[:, :nz], a2[:, :nz]
-        t, g, h = _row_derivs(rows.v[block], nz, eta1[block], eta2[block], xi)
-        parts.append((
-            float(t.sum()), a1 @ g[0], a2 @ g[1], g[2].sum(),
-            (a1 * h[0]) @ a1.T, (z1 * h[1, :nz]) @ z2.T, z1 @ h[2, :nz],
-            (a2 * h[3]) @ a2.T, a2 @ h[4], h[5].sum(),
-        ))
-    loglik, sc1, sc2, sc3, h11, h12, h13, h22, h23, h33 = (
-        parts[0] if len(parts) == 1 else map(sum, zip(*parts))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite reads -inf below
+        for block, nz in _block_bounds(n, n_zero):
+            a1, a2 = rows.x1[:, block], rows.x2[:, block]
+            z1, z2 = a1[:, :nz], a2[:, :nz]
+            t, g, h = _row_derivs(rows.v[block], nz, eta1[block], eta2[block], xi)
+            parts.append((
+                float(t.sum()), a1 @ g[0], a2 @ g[1], g[2].sum(),
+                (a1 * h[0]) @ a1.T, (z1 * h[1, :nz]) @ z2.T, z1 @ h[2, :nz],
+                (a2 * h[3]) @ a2.T, a2 @ h[4], h[5].sum(),
+            ))
+        loglik, sc1, sc2, sc3, h11, h12, h13, h22, h23, h33 = (
+            parts[0] if len(parts) == 1 else map(sum, zip(*parts))
+        )
     p1, p2 = b1.size, b2.size
     s1, s2 = slice(0, p1), slice(p1, p1 + p2)
     # the Hessian and, in its last row, the score: one finiteness check
@@ -370,16 +383,34 @@ def _beyond_support(y_pos: np.ndarray, eta2_pos: np.ndarray, xi: float) -> bool:
     return bool((x <= -1.0).any())
 
 
-def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float) -> CoefVector:
+def _least_squares(gram: tuple[np.ndarray, np.ndarray], xtz: np.ndarray) -> np.ndarray:
+    """Least squares from X'z and the :func:`zitpo.model._scaled_gram` of X;
+    zeros unless both are finite and the Gram is positive definite."""
+    scaled, norm = gram
+    if np.isfinite(scaled).all():
+        _, c, info = lapack.dposv(scaled, xtz / norm, lower=1)
+        if info == 0 and np.isfinite(c / norm).all():
+            return c / norm
+    return np.zeros(norm.size)
+
+
+def _default_start(y: np.ndarray, spec: ModelSpec, xi_start: float, gram1: tuple) -> CoefVector:
+    """The module docstring's start; ``gram1`` is X1's scaled Gram."""
     pos = y > 0.0
     frac = min(max(float(np.mean(pos)), 1e-3), 1.0 - 1e-3)
-    b1 = np.zeros(spec.x1.shape[1])
-    b1[0] = math.log(frac / (1.0 - frac))
-    b2 = np.zeros(spec.x2.shape[1])
-    b2[0] = math.log(float(np.mean(y[pos])))
-    if xi_start < 0.0:
-        # keep every positive y inside the support end mu*(1 - xi)/|xi|, twice over
-        b2[0] = max(b2[0], math.log(2.0 * float(np.max(y)) * -xi_start / (1.0 - xi_start)))
+    y_pos, x2 = y[pos], spec.x2[pos]
+    with np.errstate(all="ignore"):
+        # the IRLS weights frac*(1 - frac) are constant, so the step is least squares
+        b1 = _least_squares(gram1, spec.x1.T @ ((pos - frac) / (frac * (1.0 - frac))))
+        b1[0] += math.log(frac / (1.0 - frac))
+        for b2 in (_least_squares(_scaled_gram(x2), x2.T @ np.log(y_pos)), np.zeros(x2.shape[1])):
+            b2[0] += np.log(np.mean(y_pos / np.exp(x2 @ b2)))  # mean(y/mu) = 1
+            if np.isfinite(b2).all():
+                break
+        if xi_start < 0.0:
+            # keep every positive y inside the support end mu*(1 - xi)/|xi|, twice over
+            lift = np.log(2.0 * y_pos * -xi_start / (1.0 - xi_start)) - x2 @ b2
+            b2[0] += max(float(np.max(lift)), 0.0)
     return CoefVector(beta1=b1, beta2=b2, xi=xi_start)
 
 
@@ -402,10 +433,11 @@ def fit_mle(
     spec : ModelSpec
         Design matrices for both parts.
     init : CoefVector, optional
-        Starting coefficients. Defaults to the logit of the positive
-        fraction / log of the positive mean for the intercepts, zeros for
-        the remaining coefficients, and ``XI_START`` (or ``fix_xi``; below 0
-        the mu intercept is raised so every positive y is in the support).
+        Starting coefficients. Defaults to the least-squares start of the
+        module docstring: one IRLS step from the intercept-only logit for
+        beta1, least squares of log y on the positive rows for beta2, and
+        ``XI_START`` (or ``fix_xi``; below 0 the mu intercept is raised so
+        every positive y is in the support).
     fix_xi : float, optional
         Freeze the shape at this value instead of estimating it; it
         overrides ``init.xi``.
@@ -429,12 +461,12 @@ def fit_mle(
             f"need at least {p2 + 1} positive observations for {p2} mean "
             f"coefficients plus the shape, got {n_pos}"
         )
-    _check_rank(spec.x1, spec.names1)
+    gram1 = _check_rank(spec.x1, spec.names1)
     if spec.x2 is not spec.x1:
         _check_rank(spec.x2, spec.names2)
 
     if init is None:
-        init = _default_start(y, spec, XI_START if fix_xi is None else fix_xi)
+        init = _default_start(y, spec, XI_START if fix_xi is None else fix_xi, gram1)
     if init.beta1.size != p1 or init.beta2.size != p2:
         raise ValueError("starting coefficients do not match the design dimensions")
 

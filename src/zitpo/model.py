@@ -478,8 +478,18 @@ def _zero_first(y: np.ndarray, y_trunc: float):
 _RANK_RTOL = 1e-12
 
 
-def _check_rank(x: np.ndarray, names) -> None:
-    """Raise, naming the offending columns, unless ``x`` has full column rank.
+def _scaled_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X'X scaled to unit diagonal, and the column norms it was scaled by; a
+    column of zero or overflowing norm leaves non-finite entries."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gram = x.T @ x
+        norm = np.sqrt(np.diag(gram))
+        return gram / norm[:, None] / norm, norm
+
+
+def _check_rank(x: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
+    """Raise, naming the offending columns, unless ``x`` has full column rank;
+    return its :func:`_scaled_gram`.
 
     Rank is decided on X'X scaled to unit diagonal, so the decision does not
     depend on column units. A column whose sum of squares overflows is
@@ -490,19 +500,15 @@ def _check_rank(x: np.ndarray, names) -> None:
     walk of :func:`_redundant_columns`, which runs only on failure, to name
     the redundant columns.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = x.T @ x
-    norm = np.sqrt(np.diag(gram))
+    scaled, norm = _scaled_gram(x)
     huge = np.flatnonzero(norm == math.inf)
     if huge.size:
         raise ValueError(
             f"column {names[huge[0]]!r} is too large in magnitude (its sum of "
             "squares overflows); rescale it"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = gram / norm[:, None] / norm
     if np.all(norm > 0.0) and _well_conditioned(scaled):
-        return
+        return scaled, norm
     offenders = _redundant_columns(scaled, norm, names)
     raise ValueError(f"design is rank deficient; redundant columns: {offenders}")
 

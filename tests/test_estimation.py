@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import expit
 
@@ -185,6 +187,43 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(estimation, "_row_derivs", counted("kernel", _row_derivs))
     monkeypatch.setattr(model, "_m_derivs", counted("m_derivs", _m_derivs))
     return calls
+
+
+@pytest.fixture
+def pass_counts(monkeypatch):
+    """Counts of the fitter's passes, all and feasible (a finite value)."""
+    passes = {"all": 0, "feasible": 0}
+    real_pass = estimation._score_hessian
+
+    def counted_pass(*args):
+        out = real_pass(*args)
+        passes["all"] += 1
+        passes["feasible"] += math.isfinite(out[0])
+        return out
+
+    monkeypatch.setattr(estimation, "_score_hessian", counted_pass)
+    return passes
+
+
+def least_squares_start(y, spec, xi_start):
+    """The fitter's default start, given the scaled Gram of its rank check."""
+    return estimation._default_start(y, spec, xi_start, model._check_rank(spec.x1, spec.names1))
+
+
+def intercept_only_start(y, spec, xi_start):
+    """The fitter's start before the least-squares one: the logit of the
+    positive fraction and the log of the positive mean as intercepts, every
+    slope 0, and below 0 the mu intercept raised so that every positive y
+    lies inside the support end twice over."""
+    pos = y > 0.0
+    frac = min(max(float(np.mean(pos)), 1e-3), 1.0 - 1e-3)
+    b1 = np.zeros(spec.x1.shape[1])
+    b1[0] = math.log(frac / (1.0 - frac))
+    b2 = np.zeros(spec.x2.shape[1])
+    b2[0] = math.log(float(np.mean(y[pos])))
+    if xi_start < 0.0:
+        b2[0] = max(b2[0], math.log(2.0 * float(np.max(y)) * -xi_start / (1.0 - xi_start)))
+    return CoefVector(beta1=b1, beta2=b2, xi=xi_start)
 
 
 def sweep_point(rows, coef, xi, shift, calls):
@@ -447,29 +486,32 @@ class TestNewton:
         assert calls["passes"] <= 20
         assert calls["splits"] == 1
 
-    def test_infeasible_trials_run_no_kernel(self, kernel_calls, monkeypatch):
+    def test_infeasible_trials_run_no_kernel(self, kernel_calls, pass_counts):
         # a trial past a xi < 0 support end costs the support check alone;
         # each feasible pass makes one kernel call and one _m_derivs call
         # (n = 1000 is one block), and each fit one more _m_derivs call, in
-        # the value-only kernel call for its reported log-likelihood
-        passes = {"all": 0, "feasible": 0}
-        real_pass = estimation._score_hessian
+        # the value-only kernel call for its reported log-likelihood. The
+        # intercept-only start steps past the support end; the default start
+        # does not (see test_least_squares_start_pass_count)
+        cfg = reference_config(n=1000, reps=40, xi=0.25, seed=801)
+        for rep in range(cfg.reps):
+            y, spec = simulate_dataset(cfg, rep)
+            init = intercept_only_start(y, spec, estimation.XI_START)
+            assert fit_mle(y, cfg.y_trunc, spec, init=init).converged
+        assert kernel_calls["kernel"] == kernel_calls["m_derivs"] - cfg.reps == pass_counts["feasible"]
+        # 547 passes, 143 of them infeasible, when this was written; a kernel
+        # pass per trial point would make 547 calls per kind
+        assert pass_counts["feasible"] <= 420 < pass_counts["all"]
 
-        def counted_pass(*args):
-            out = real_pass(*args)
-            passes["all"] += 1
-            passes["feasible"] += math.isfinite(out[0])
-            return out
-
-        monkeypatch.setattr(estimation, "_score_hessian", counted_pass)
+    def test_least_squares_start_pass_count(self, pass_counts):
+        # machine-independent: the same cell from the default start made 245
+        # passes, none infeasible, when the least-squares start came in
+        # (404 feasible of 547 from the intercept-only start)
         cfg = reference_config(n=1000, reps=40, xi=0.25, seed=801)
         for rep in range(cfg.reps):
             y, spec = simulate_dataset(cfg, rep)
             assert fit_mle(y, cfg.y_trunc, spec).converged
-        assert kernel_calls["kernel"] == kernel_calls["m_derivs"] - cfg.reps == passes["feasible"]
-        # 551 passes, 147 of them infeasible, when this was written; a kernel
-        # pass per trial point would make 551 calls per kind
-        assert passes["feasible"] <= 420 < passes["all"]
+        assert pass_counts["feasible"] <= 260
 
     def test_indefinite_information_still_gives_an_ascent_step(self):
         hess = np.diag([-4.0, 1.0, -1e-12])
@@ -477,6 +519,17 @@ class TestNewton:
         p, factor = _newton_direction(g, hess)
         assert np.all(np.isfinite(p)) and g @ p > 0.0
         assert factor is None
+
+    def test_fallback_direction_follows_covariate_units(self):
+        # the fallback floors the eigenvalues of -H scaled to unit diagonal,
+        # so a coefficient in units u (score g*u, Hessian u*H*u) steps p/u
+        hess = -np.array([[4.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 2.0]])
+        g = np.array([1.0, -2.0, 0.5])
+        units = np.array([1.0, 1e9, 1e-3])
+        p, _ = _newton_direction(g, hess)
+        q, factor = _newton_direction(g * units, hess * units[:, None] * units)
+        assert factor is None
+        assert np.allclose(q * units, p, rtol=1e-12, atol=0.0)
 
     def test_definite_information_gives_the_newton_step(self):
         hess = -np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
@@ -531,7 +584,8 @@ class TestNewton:
         y, spec = simulate_dataset(cfg, 0)
         fit = fit_mle(y, cfg.y_trunc, spec, fix_xi=fix_xi)
         assert fit.converged
-        assert calls["dposv"] == calls["directions"] == fit.iterations + 1
+        # the default start solves its two least-squares systems by dposv too
+        assert calls["dposv"] - 2 == calls["directions"] == fit.iterations + 1
         assert calls["dpotri"] == 1
 
     def test_package_import_leaves_scipy_linalg_unloaded(self):
@@ -682,7 +736,7 @@ class TestFitMle:
         # the start's xi differs; the shape is frozen at fix_xi exactly
         cfg = reference_config(n=1000, reps=1, xi=0.25, seed=44)
         y, spec = simulate_dataset(cfg, 0)
-        init = estimation._default_start(y, spec, fix_xi)
+        init = least_squares_start(y, spec, fix_xi)
         init = CoefVector(beta1=init.beta1, beta2=init.beta2, xi=0.6)
         fit = fit_mle(y, cfg.y_trunc, spec, init=init, fix_xi=fix_xi)
         assert fit.converged and fit.xi_fixed
@@ -715,6 +769,191 @@ class TestFitMle:
         )
         reduced = fit_mle(y, cfg.y_trunc, reduced_spec)
         assert full.loglik >= reduced.loglik - 1e-6
+
+
+def start_problem(n, kinds, xi, eta1, eta2, trunc, seed):
+    """A response and design for the start: each of ``kinds`` adds a
+    covariate ("plain", "collinear" with the previous one, "huge" in units of
+    1e9, or "dead_level", a level whose rows are all zeros); the intercepts
+    are eta1 and eta2, and y_trunc is ``trunc * exp(eta2)``. Some rows are
+    forced positive and one zero, so that every problem can be fitted."""
+    rng = np.random.default_rng(seed)
+    y_trunc = trunc * math.exp(eta2)
+    cols, effect, dead = [np.ones(n)], np.zeros(n), np.zeros(n, dtype=bool)
+    z = cols[0]
+    for kind in kinds:
+        if kind == "collinear":
+            z = z + 1e-3 * rng.normal(size=n)
+        elif kind == "dead_level":
+            z = np.zeros(n)
+            z[rng.choice(n, n // 8, replace=False)] = 1.0
+            dead |= z == 1.0
+        else:
+            z = rng.normal(size=n)
+        effect += 0.4 * (z - np.mean(z)) / np.std(z)
+        cols.append(z * 1e9 if kind == "huge" else z)
+    x = np.column_stack(cols)
+    positive = rng.random(n) < expit(eta1 + effect)
+    y_star = rtrunc_gpd(1.0 - rng.random(n), np.exp(eta2 + 0.5 * effect), xi, 0.0)
+    y = np.where(positive & (y_star > y_trunc), y_star, 0.0)
+    forced = np.flatnonzero(~dead)[: x.shape[1] + 2]
+    y[forced] = np.maximum(y[forced], 2.0 * y_trunc + math.exp(eta2))
+    y[dead] = 0.0
+    y[np.flatnonzero(~dead)[-1]] = 0.0
+    return y, y_trunc, ModelSpec(x1=x, x2=x)
+
+
+@st.composite
+def start_problems(draw):
+    """A :func:`start_problem` over n in [30, 400], 1-4 covariates, true xi
+    in [-0.45, 0.95], y_trunc 0 or positive and intercepts that push |eta|
+    high, with a fixed xi that is sometimes below 0."""
+    kinds = st.sampled_from(["plain", "collinear", "huge", "dead_level"])
+    problem = start_problem(
+        draw(st.integers(30, 400)),
+        draw(st.lists(kinds, min_size=1, max_size=4)),
+        draw(st.floats(-0.45, 0.95)),
+        draw(st.sampled_from([-3.0, 0.0, 4.0])),
+        draw(st.sampled_from([-25.0, 1.0, 30.0])),
+        draw(st.sampled_from([0.0, 0.5])),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+    return (*problem, draw(st.sampled_from([None, None, None, -0.3, -0.05])))
+
+
+class TestLeastSquaresStart:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(problem=start_problems())
+    def test_same_fit_as_from_the_intercept_only_start(self, problem):
+        # the start is finite and feasible, and neither it nor a fit from it
+        # or from the intercept-only start raises a RuntimeWarning. Many
+        # draws have no finite maximum (a dead level, separation, a shape
+        # near 1), so the fits run to the cap, held at 30 iterations to bound
+        # the time; a converged fit here takes 5-15. At y_trunc = 0 a zero
+        # row is a structural zero, so the logit part and the positive rows
+        # are fitted apart: a fit the intercept-only start finds, the
+        # least-squares start finds too, to within 1e-6 standard errors,
+        # unless it climbs higher (at n = 30 it can run on to xi < -1, where
+        # the likelihood has no upper bound; none of 3000 draws at the full
+        # cap disagreed otherwise). Above 0 a zero row mixes both parts, and
+        # either start can reach the higher of two maxima
+        # (test_a_positive_threshold_can_give_two_maxima)
+        y, y_trunc, spec, fix_xi = problem
+        xi0 = estimation.XI_START if fix_xi is None else fix_xi
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error", RuntimeWarning)
+            patch.setattr(estimation, "_MAX_ITER", 30)
+            start = least_squares_start(y, spec, xi0)
+            theta = np.concatenate([start.beta1, start.beta2, [start.xi]])
+            assert np.isfinite(theta).all()
+            out, _, _ = _score_hessian(_split_rows(y, y_trunc, spec), start.beta1, start.beta2, xi0)
+            assert math.isfinite(out)
+            new = fit_mle(y, y_trunc, spec, fix_xi=fix_xi)
+            old = fit_mle(y, y_trunc, spec, init=intercept_only_start(y, spec, xi0), fix_xi=fix_xi)
+        if y_trunc == 0.0 and old.converged and new.loglik < old.loglik + 1e-6:
+            assert new.converged
+            assert np.all(np.abs(new.estimates - old.estimates) <= 1e-6 * old.se)
+
+    def test_a_small_sample_can_climb_past_xi_minus_one(self, monkeypatch):
+        # a counter-example of the property above at y_trunc = 0: the
+        # intercept-only start stops at a local maximum, and the fit from the
+        # least-squares start climbs past it, to xi < -1, where the
+        # likelihood of these 14 positive rows has no upper bound. It is
+        # there by iteration 40 and still unconverged at 500; the cap is held
+        # at 60 to bound the time
+        y, y_trunc, spec = start_problem(30, ["collinear"], 1e-16, 0.0, 1.0, 0.0, 1)
+        monkeypatch.setattr(estimation, "_MAX_ITER", 60)
+        new = fit_mle(y, y_trunc, spec)
+        old = fit_mle(y, y_trunc, spec, init=intercept_only_start(y, spec, estimation.XI_START))
+        assert old.converged and not new.converged
+        assert new.coef.xi < -1.0 and new.loglik > old.loglik
+
+    @pytest.mark.parametrize("problem, fix_xi, gain", [
+        ((124, ["plain"], 0.4968125940329126, -3.0, 30.0, 0.5, 3729805064), -0.3, 0.478),
+        ((71, ["plain", "huge"], 0.029403395343570116, -3.0, -25.0, 0.5, 694779004), -0.05, -0.412),
+    ])
+    def test_a_positive_threshold_can_give_two_maxima(self, problem, fix_xi, gain):
+        # counter-examples of the property above at y_trunc > 0, from a
+        # 6500-draw search: each start converges to its own local maximum,
+        # the least-squares start's the higher one in the first draw and the
+        # lower one in the second (8 higher and 4 lower of the 12 such draws).
+        # Both are maxima: a fit started at either stays there
+        y, y_trunc, spec = start_problem(*problem)
+        new = fit_mle(y, y_trunc, spec, fix_xi=fix_xi)
+        old = fit_mle(y, y_trunc, spec, init=intercept_only_start(y, spec, fix_xi), fix_xi=fix_xi)
+        assert new.converged and old.converged
+        assert new.loglik - old.loglik == pytest.approx(gain, abs=1e-3)
+        assert np.any(np.abs(new.estimates - old.estimates) > old.se)
+        for fit in (new, old):
+            again = fit_mle(y, y_trunc, spec, init=fit.coef, fix_xi=fix_xi)
+            assert again.converged and again.iterations <= 1
+            assert np.all(np.abs(again.estimates - fit.estimates) <= 1e-6 * fit.se)
+
+    @pytest.mark.parametrize("units", [1.0, 1e3, 1e6, 1e9])
+    def test_units_of_a_covariate_do_not_stall_the_fit(self, units):
+        # a counter-example the property above found at 400 examples: -H is
+        # indefinite at both starts, and the eigh fallback floored
+        # |eigenvalues| at 1e-8 of the largest, which the units of a covariate
+        # move. From 1e6 on the fit from the least-squares start crept along
+        # at xi = 0.1 for 500 iterations. The fallback now works on -H scaled
+        # to unit diagonal, so both starts converge in any units, in as many
+        # iterations as in natural ones
+        y, y_trunc, spec = start_problem(30, ["plain"], 0.7459600974002207, 0.0, 1.0, 0.5, 30)
+        x = spec.x1.copy()
+        x[:, 1] *= units
+        scaled = ModelSpec(x1=x, x2=x)
+        new = fit_mle(y, y_trunc, scaled)
+        old = fit_mle(y, y_trunc, scaled, init=intercept_only_start(y, scaled, estimation.XI_START))
+        assert new.converged and old.converged
+        assert (new.iterations, old.iterations) == (7, 8)
+
+    def test_least_squares_solution_on_the_design(self):
+        # the pi part is one IRLS step from the intercept-only logit; the mu
+        # part is the least-squares fit of log y with mean(y/mu) = 1
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=44)
+        y, spec = simulate_dataset(cfg, 0)
+        start = least_squares_start(y, spec, 0.1)
+        pos = y > 0.0
+        frac = np.mean(pos)
+        z = math.log(frac / (1.0 - frac)) + (pos - frac) / (frac * (1.0 - frac))
+        assert np.allclose(start.beta1, np.linalg.lstsq(spec.x1, z)[0], rtol=1e-10, atol=1e-12)
+        b2 = np.linalg.lstsq(spec.x2[pos], np.log(y[pos]))[0]
+        assert np.allclose(start.beta2[1:], b2[1:], rtol=1e-10, atol=1e-12)
+        assert np.mean(y[pos] / np.exp(spec.x2[pos] @ start.beta2)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_a_level_with_no_positive_rows_keeps_the_intercept_only_mu_start(self):
+        y = random_problem(0.25, 0.125, 3)[0]
+        n = y.size
+        level = (np.arange(n) % 5 == 0).astype(float)
+        y = np.where(level == 1.0, 0.0, y)
+        x = np.column_stack([np.ones(n), np.linspace(-1.0, 1.0, n), level])
+        spec = ModelSpec(x1=x, x2=x)
+        start = least_squares_start(y, spec, 0.1)
+        reference = intercept_only_start(y, spec, 0.1)
+        assert np.array_equal(start.beta2, reference.beta2)
+        assert start.beta1[2] < 0.0  # the pi part still takes its least-squares step
+
+    @pytest.mark.parametrize("fix_xi", [-0.45, -0.2])
+    def test_fixed_negative_shape_start_lies_inside_the_support_twice_over(self, fix_xi):
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=44)
+        y, spec = simulate_dataset(cfg, 0)
+        start = least_squares_start(y, spec, fix_xi)
+        pos = y > 0.0
+        end = np.exp(spec.x2[pos] @ start.beta2) * (1.0 - fix_xi) / -fix_xi
+        assert np.all(2.0 * y[pos] <= end * (1.0 + 1e-12))
+        assert np.any(2.0 * y[pos] >= end * (1.0 - 1e-12))  # the lift is no larger
+
+    def test_start_follows_covariate_units(self):
+        cfg = reference_config(n=1000, reps=1, xi=0.25, seed=44)
+        y, spec = simulate_dataset(cfg, 0)
+        x = spec.x1.copy()
+        x[:, 1] *= 1e9
+        base = least_squares_start(y, spec, 0.1)
+        scaled = least_squares_start(y, ModelSpec(x1=x, x2=x), 0.1)
+        for a, b in ((base.beta1, scaled.beta1), (base.beta2, scaled.beta2)):
+            undo = np.ones(a.size)
+            undo[1] = 1e9
+            assert np.allclose(b * undo, a, rtol=1e-9, atol=1e-12)
 
 
 def natural_score_norm(y, y_trunc, spec, fit):
